@@ -43,6 +43,7 @@ from .errors import ConfigError, DataError, DegenerateSetError, ParseError, Shap
 from .experiments import (
     ExperimentConfig,
     bounds_table,
+    fit,
     mc_confidence,
     run_benchmark,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "choose_height",
     "efficiency_report",
     "empirical_regret",
+    "fit",
     "kfold",
     "load_dataset",
     "loss_derivatives",

@@ -6,12 +6,16 @@ exactly r hypotheses (contiguous blocks in creation order) by their Radon
 point.  The averaging baseline trains on the same partitions and returns the
 coordinate-wise mean instead.
 
-All parallel work is dispatched to a bounded process pool and every task
-writes its result into a slot fixed by partition or group id, so the output
-is bit-identical for any worker count given the same seed.  The pool
-trains contiguous blocks of partitions, each in lock-step (see
-learners._train_block), which gives the same bits as one train() call per
-partition, the path taken with a single worker.
+This module is the only one that starts processes: ``_pool_map`` runs a
+function over a list in order, in-process for one worker and otherwise on
+one bounded process pool.  The pool serves two kinds of work, blocks of
+partitions to train and Monte-Carlo shards (see experiments).  Each pool
+task returns its results in a fixed order, so the output is bit-identical
+for any worker count given the same seed.  A pool block trains its
+partitions in lock-step (see learners._train_block), which gives the same
+bits as one train() call per partition, the path taken with a single
+worker.  Radon levels fold in-process: their O(r^3) solves cost less than
+sending the hypotheses to a pool.
 """
 
 from __future__ import annotations
@@ -123,15 +127,20 @@ def _train_chunk(args) -> list[tuple[int, np.ndarray]]:
     return [(slot, hyp.weights) for (slot, *_), hyp in zip(tasks, hyps)]
 
 
-def _radon_chunk(args) -> list[tuple[int, np.ndarray]]:
-    tasks = args
-    return [(slot, radon_point(group).point) for slot, group in tasks]
-
-
 def _chunked(items: list, n_chunks: int) -> list[list]:
     n_chunks = max(1, min(n_chunks, len(items)))
     bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
     return [items[bounds[i] : bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of at most one process per
+    item; in-process when that leaves a single worker."""
+    workers = min(workers, len(items))
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def train_on_partitions(
@@ -140,13 +149,14 @@ def train_on_partitions(
     parts: int,
     seed: int,
     workers: int = 1,
-    executor: ProcessPoolExecutor | None = None,
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Train one hypothesis per partition; the shared path of both schemes.
 
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     blocks = partition_indices(data.n_rows, parts, seed)
     seeds = training_seeds(seed, parts)
@@ -157,51 +167,41 @@ def train_on_partitions(
 
     dim = spec.hypothesis_dim(data.dim)
     weights = np.empty((parts, dim))
-    if workers == 1 and executor is None:
+    if workers == 1:
         for slot, x, y, task, s in tasks:
             weights[slot] = train(spec, Dataset(x=x, y=y, task=task), s).weights
     else:
-        own_executor = executor is None
-        ex = executor or ProcessPoolExecutor(max_workers=workers)
-        try:
-            # Four blocks per worker rather than one: each block's rows are
-            # pickled whole, and smaller blocks keep less of the data in
-            # flight at once; one block per worker is faster but raises
-            # peak memory.
-            chunks = _chunked(tasks, workers * 4)
-            for result in ex.map(_train_chunk, [(spec, c) for c in chunks]):
-                for slot, w in result:
-                    weights[slot] = w
-        finally:
-            if own_executor:
-                ex.shutdown()
+        # Four blocks per worker rather than one: each block's rows are
+        # pickled whole, and smaller blocks keep less of the data in flight
+        # at once; one block per worker is faster but raises peak memory.
+        chunks = _chunked(tasks, workers * 4)
+        for result in _pool_map(_train_chunk, [(spec, c) for c in chunks], workers):
+            for slot, w in result:
+                weights[slot] = w
     t2 = time.perf_counter()
     return weights, {"partition_s": t1 - t0, "learning_s": t2 - t1}
 
 
-def _aggregate_levels(
-    points: np.ndarray,
-    cfg: RadonConfig,
-    executor: ProcessPoolExecutor | None,
-) -> tuple[np.ndarray, list[int]]:
+def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
+    """One aggregation round: replace each contiguous group of r rows along
+    axis -2 by its Radon point.  Leading axes index independent trees."""
+    *trees, rows, dim = points.shape
+    groups = points.reshape(-1, r, dim)
+    out = np.empty((groups.shape[0], dim))
+    for g, group in enumerate(groups):
+        out[g] = radon_point(group).point
+    return out.reshape(*trees, rows // r, dim)
+
+
+def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, list[int]]:
     """Fold cfg.h levels of Radon points over the hypothesis matrix."""
     counts = [points.shape[0]]
     level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     for _ in range(cfg.h):
         if cfg.shuffle_levels:
             points = points[level_rng.permutation(points.shape[0])]
-        groups = points.shape[0] // cfg.r
-        nxt = np.empty((groups, points.shape[1]))
-        tasks = [(g, points[g * cfg.r : (g + 1) * cfg.r]) for g in range(groups)]
-        if executor is None or groups < cfg.workers:
-            for slot, group in tasks:
-                nxt[slot] = radon_point(group).point
-        else:
-            for result in executor.map(_radon_chunk, _chunked(tasks, cfg.workers)):
-                for slot, point in result:
-                    nxt[slot] = point
-        points = nxt
-        counts.append(groups)
+        points = _radon_level(points, cfg.r)
+        counts.append(points.shape[0])
     return points, counts
 
 
@@ -238,17 +238,10 @@ def radon_machine(
             f"n_min={cfg.n_min}; got {data.n_rows}"
         )
 
-    executor = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        weights, times = train_on_partitions(
-            spec, data, parts, cfg.seed, workers=cfg.workers, executor=executor
-        )
-        t0 = time.perf_counter()
-        final, counts = _aggregate_levels(weights, cfg, executor)
-        agg_time = time.perf_counter() - t0
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    weights, times = train_on_partitions(spec, data, parts, cfg.seed, workers=cfg.workers)
+    t0 = time.perf_counter()
+    final, counts = _aggregate_levels(weights, cfg)
+    agg_time = time.perf_counter() - t0
 
     trace = AggregationTrace(
         hypotheses_per_level=counts,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import RadonConfig, averaging_at_end, radon_machine
+from .aggregation import RadonConfig
 from .bounds import ComplexityParams
 from .datasets import load_dataset, synth_classification, synth_regression
 from .errors import ConfigError, DataError
@@ -24,13 +24,14 @@ from .experiments import (
     MC_CSV_COLUMNS,
     ExperimentConfig,
     bounds_table,
+    fit,
     mc_confidence,
     resolve_height,
     run_benchmark,
     write_csv,
     write_json,
 )
-from .learners import Hypothesis, LearnerSpec, predict_score, train
+from .learners import Hypothesis, LearnerSpec, predict_score
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,13 +265,8 @@ def _cmd_train(args) -> int:
     dim = spec.hypothesis_dim(data.dim)
     r = dim + 2
     h = resolve_height(args.h if args.h == "max" else int(args.h), data.n_rows, r, args.n_min)
-    if args.algorithm == "base":
-        hyp = train(spec, data, seed)
-    elif args.algorithm == "radon":
-        cfg = RadonConfig(r=r, h=h, seed=seed, n_min=args.n_min, workers=workers)
-        hyp, _ = radon_machine(spec, data, cfg)
-    else:
-        hyp = averaging_at_end(spec, data, r**h, seed, workers=workers)
+    cfg = RadonConfig(r=r, h=h, seed=seed, n_min=args.n_min, workers=workers)
+    hyp, _ = fit(args.algorithm, spec, data, cfg)
 
     model = {
         "weights": [float(w) for w in hyp.weights],

@@ -11,6 +11,10 @@ from .errors import ConfigError, DataError, ParseError, ShapeError
 
 TASKS = ("binary", "regression")
 
+# Cap on rows x largest index of an svmlight file, the cells of its dense
+# matrix (10^8 float64 cells are 800 MB).
+SVMLIGHT_MAX_CELLS = 100_000_000
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -151,6 +155,11 @@ def _load_svmlight(path: Path) -> Dataset:
             entries.append((idx, val))
             max_index = max(max_index, idx)
         sparse_rows.append(entries)
+        if len(sparse_rows) * max_index > SVMLIGHT_MAX_CELLS:
+            raise ParseError(
+                f"{path}: line {lineno}: {len(sparse_rows)} rows x {max_index} columns "
+                f"exceed the cap of {SVMLIGHT_MAX_CELLS} dense cells"
+            )
     if not sparse_rows or max_index == 0:
         raise ParseError(f"{path}: no data rows")
     x = np.zeros((len(sparse_rows), max_index))

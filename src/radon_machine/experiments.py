@@ -11,14 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .aggregation import (
     RadonConfig,
+    _pool_map,
+    _radon_level,
     max_height,
     partition_indices,
     radon_machine,
@@ -29,7 +30,6 @@ from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_
 from .errors import ConfigError
 from .learners import Hypothesis, LearnerSpec, predict_score, train
 from .metrics import auc, rmse
-from .radon_points import radon_point
 
 ALGORITHMS = ("base", "radon", "avg")
 
@@ -119,25 +119,7 @@ class ExperimentConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "learner": {
-                "loss": self.learner.loss,
-                "reg_lambda": self.learner.reg_lambda,
-                "epochs": self.learner.epochs,
-                "learning_rate0": self.learner.learning_rate0,
-                "fit_bias": self.learner.fit_bias,
-            },
-            "algorithms": list(self.algorithms),
-            "cv_folds": self.cv_folds,
-            "h": self.h,
-            "n_min": self.n_min,
-            "shuffle_levels": self.shuffle_levels,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out": self.out,
-            "bounds": self.bounds,
-        }
+        return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
 def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
@@ -221,10 +203,19 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         h = resolve_height(config.h, train_split.n_rows, r, config.n_min)
         heights.append(h)
         parts = r**h
+        cfg = RadonConfig(
+            r=r,
+            h=h,
+            seed=config.seed,
+            n_min=config.n_min,
+            workers=config.workers,
+            shuffle_levels=config.shuffle_levels,
+        )
         for name in config.algorithms:
-            row = _run_algorithm(name, spec, train_split, config, r, h, parts)
+            hyp, row = fit(name, spec, train_split, cfg)
+            row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
             row["fold"] = fold
-            row["metric"] = _evaluate(row.pop("hypothesis"), data, test_idx)
+            row["metric"] = _evaluate(hyp, data, test_idx)
             uses_partitions = name == "avg" or (name == "radon" and h > 0)
             row["partition_checksum"] = (
                 partition_checksum(train_idx, parts, config.seed) if uses_partitions else None
@@ -279,51 +270,36 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     return report
 
 
-def _run_algorithm(
-    name: str,
-    spec: LearnerSpec,
-    train_split: Dataset,
-    config: ExperimentConfig,
-    r: int,
-    h: int,
-    parts: int,
-) -> dict:
+def fit(
+    name: str, spec: LearnerSpec, data: Dataset, cfg: RadonConfig
+) -> tuple[Hypothesis, dict[str, float]]:
+    """Train one of ALGORITHMS on ``data``.
+
+    ``base`` trains on all rows with seed cfg.seed, ``radon`` runs the Radon
+    machine with ``cfg``, and ``avg`` averages the cfg.r ** cfg.h partition
+    models the Radon machine would fold.  Returns the hypothesis and the
+    wall times of its partitioning, learning and aggregation phases.
+    """
     if name == "base":
         t0 = time.perf_counter()
-        hyp = train(spec, train_split, config.seed)
+        hyp = train(spec, data, cfg.seed)
         learn = time.perf_counter() - t0
-        row = {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
-    elif name == "radon":
-        cfg = RadonConfig(
-            r=r,
-            h=h,
-            seed=config.seed,
-            n_min=config.n_min,
-            workers=config.workers,
-            shuffle_levels=config.shuffle_levels,
-        )
-        hyp, trace = radon_machine(spec, train_split, cfg)
-        row = {
+        return hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
+    if name == "radon":
+        hyp, trace = radon_machine(spec, data, cfg)
+        return hyp, {
             "partition_s": trace.wall_time_partition,
             "learning_s": trace.wall_time_learning,
             "aggregation_s": trace.wall_time_aggregation,
         }
-    elif name == "avg":
+    if name == "avg":
         weights, times = train_on_partitions(
-            spec, train_split, parts, config.seed, workers=config.workers
+            spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers
         )
         t0 = time.perf_counter()
         hyp = Hypothesis(weights=weights.mean(axis=0), fit_bias=spec.fit_bias)
-        row = {
-            "partition_s": times["partition_s"],
-            "learning_s": times["learning_s"],
-            "aggregation_s": time.perf_counter() - t0,
-        }
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ConfigError(f"unknown algorithm {name!r}")
-    row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
-    row["hypothesis"] = hyp
-    return row
+        return hyp, {**times, "aggregation_s": time.perf_counter() - t0}
+    raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
 
 
 def _mc_shard(args) -> np.ndarray:
@@ -352,13 +328,8 @@ def _mc_shard(args) -> np.ndarray:
     counts[0] = int(bad.sum())
     current = points.reshape(n_trials, leaves, d)
     for level in range(1, h + 1):
-        groups = current.shape[1] // r
-        nxt = np.empty((n_trials, groups, d))
-        for t in range(n_trials):
-            for g in range(groups):
-                nxt[t, g] = radon_point(current[t, g * r : (g + 1) * r]).point
-        counts[level] = int((np.linalg.norm(nxt.reshape(-1, d), axis=1) > eps).sum())
-        current = nxt
+        current = _radon_level(current, r)
+        counts[level] = int((np.linalg.norm(current.reshape(-1, d), axis=1) > eps).sum())
     return counts
 
 
@@ -387,6 +358,8 @@ def mc_confidence(
         raise ConfigError(f"delta_base must lie in [0, 1), got {delta_base}")
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials, got {trials}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if trials * r**h > MC_MAX_LEAF_DRAWS:
         raise ConfigError(
             f"trials * r^h = {trials * r**h} exceeds the cap of {MC_MAX_LEAF_DRAWS} leaf draws"
@@ -402,13 +375,8 @@ def mc_confidence(
         idx += 1
 
     counts = np.zeros(h + 1, dtype=np.int64)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for shard_counts in ex.map(_mc_shard, shards):
-                counts += shard_counts
-    else:
-        for shard in shards:
-            counts += _mc_shard(shard)
+    for shard_counts in _pool_map(_mc_shard, shards, workers):
+        counts += shard_counts
 
     rows = []
     for level in range(h + 1):

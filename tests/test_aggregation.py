@@ -11,17 +11,21 @@ from radon_machine import (
     LearnerSpec,
     RadonConfig,
     ShapeError,
+    aggregation,
     averaging_at_end,
     max_height,
+    mc_confidence,
     partition_dataset,
     partition_indices,
     radon_machine,
+    radon_point,
     synth_classification,
     synth_regression,
     train,
     train_on_partitions,
     training_seeds,
 )
+from radon_machine.aggregation import _radon_level
 from radon_machine.learners import EXACT_SOLVE_MAX_DIM
 
 RIDGE = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=False)
@@ -190,6 +194,61 @@ class TestPoolTraining:
             train(diverging, first_part, training_seeds(0, 16)[0])
         with pytest.raises(ShapeError):
             train_on_partitions(diverging, wide, 16, 0, workers=2)
+
+    def test_workers_below_one_rejected(self):
+        data, _ = synth_classification(200, 2, 0.1, seed=3)
+        spec = LearnerSpec(loss="logistic", epochs=1)
+        with pytest.raises(ConfigError, match="workers"):
+            train_on_partitions(spec, data, 4, 0, workers=0)
+        with pytest.raises(ConfigError, match="workers"):
+            averaging_at_end(spec, data, 4, 0, workers=-3)
+
+    def test_pool_starts_at_most_one_process_per_item(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(aggregation, "ProcessPoolExecutor", InProcessPool)
+        # 1000 trials make two shards of at most 512
+        pooled = mc_confidence(r=4, h=1, delta_base=0.125, trials=1000, seed=2, workers=16)
+        assert sizes == [2]
+        assert pooled["rows"] == mc_confidence(4, 1, 0.125, 1000, seed=2, workers=1)["rows"]
+
+        data, _ = synth_classification(300, 2, 0.1, seed=3)
+        spec = LearnerSpec(loss="logistic", epochs=1)
+        weights, _ = train_on_partitions(spec, data, 3, 0, workers=8)
+        assert sizes == [2, 3]
+        assert np.array_equal(weights, train_on_partitions(spec, data, 3, 0)[0])
+
+
+class TestRadonLevel:
+    def test_stack_of_trees_matches_radon_point_bit_for_bit(self):
+        # the (trials, r^h, d) shape of a Monte-Carlo shard
+        r, h, trials = 4, 2, 6
+        stack = np.random.default_rng(21).standard_normal((trials, r**h, r - 2))
+        level = _radon_level(stack, r)
+        assert level.shape == (trials, r ** (h - 1), r - 2)
+        for t in range(trials):
+            for g in range(r ** (h - 1)):
+                expected = radon_point(stack[t, g * r : (g + 1) * r]).point
+                assert np.array_equal(level[t, g], expected)
+        root = _radon_level(level, r)
+        assert root.shape == (trials, 1, r - 2)
+        for t in range(trials):
+            assert np.array_equal(root[t, 0], radon_point(level[t]).point)
 
 
 class TestAveragingAtEnd:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from radon_machine import LearnerSpec, averaging_at_end, synth_classification
 from radon_machine.cli import main
 
 
@@ -87,6 +88,11 @@ class TestMcBoundCommand:
 
     def test_too_few_trials_is_config_error(self, capsys):
         assert main(["mc-bound", "--trials", "10"]) == 2
+
+    def test_workers_below_one_is_config_error(self, capsys):
+        assert main(["mc-bound", "--trials", "1000", "--workers", "-5"]) == 2
+        assert main(["mc-bound", "--trials", "1000", "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:
@@ -194,6 +200,34 @@ class TestTrainPredictRoundTrip:
         model = json.loads(model_path.read_text())
         assert model["algorithm"] == "radon"
         assert model["r"] == 4 and model["h"] >= 1
+
+    def test_avg_writes_averaging_at_end_weights(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        args = ["train", "--synth", "classification", "--n", "1500", "--d", "2",
+                "--epochs", "2", "--algorithm", "avg", "--n-min", "100", "--seed", "6"]
+        assert main([*args, "--workers", "2", "--out", str(model_path)]) == 0
+        model = json.loads(model_path.read_text())
+        assert model["algorithm"] == "avg" and model["r"] == 5 and model["h"] == 1
+        data, _ = synth_classification(1500, 2, 0.1, 6)
+        expected = averaging_at_end(LearnerSpec(epochs=2), data, 5, 6)
+        assert np.array_equal(np.array(model["weights"]), expected.weights)
+
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys):
+        data_path = _write_tiny_csv(tmp_path)
+        for algorithm in ("base", "radon", "avg"):
+            args = ["train", "--data", str(data_path), "--algorithm", algorithm,
+                    "--h", "0", "--n-min", "10", "--workers", "0"]
+            assert main([*args, "--out", str(tmp_path / "m.json")]) == 2
+        assert not (tmp_path / "m.json").exists()
+
+    def test_huge_svmlight_index_is_data_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"weights": [0.0, 0.0], "fit_bias": False}))
+        data_path = tmp_path / "huge.svm"
+        data_path.write_text("1 1:0.5\n-1 1099511627776:1\n")
+        args = ["predict", "--model", str(model_path), "--data", str(data_path)]
+        assert main([*args, "--format", "svmlight"]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_missing_data_is_config_error(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "none.csv")]) == 2

@@ -75,6 +75,14 @@ class TestSvmlightLoading:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path, "svmlight")
 
+    def test_dense_size_cap_names_line(self, tmp_path):
+        # 2 rows x 2^40 columns would need 16 TiB; the loader must refuse
+        # before it allocates anything
+        path = tmp_path / "d.svm"
+        path.write_text("1 1:0.5\n-1 1099511627776:1\n")
+        with pytest.raises(ParseError, match="line 2.*cap"):
+            load_dataset(path, "svmlight")
+
     def test_zero_based_index_rejected(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("+1 0:0.5\n")

@@ -10,9 +10,15 @@ from radon_machine import (
     ConfigError,
     ExperimentConfig,
     LearnerSpec,
+    RadonConfig,
+    averaging_at_end,
     bounds_table,
+    fit,
     mc_confidence,
+    radon_machine,
     run_benchmark,
+    synth_classification,
+    train,
 )
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
 
@@ -121,6 +127,23 @@ class TestRunBenchmark:
         assert clone == config
 
 
+class TestFit:
+    def test_each_algorithm_matches_its_entry_point(self):
+        data, _ = synth_classification(1200, 2, 0.1, seed=6)
+        spec = LearnerSpec(loss="logistic", epochs=2)
+        cfg = RadonConfig(r=5, h=1, seed=8, n_min=100, shuffle_levels=True)
+        base, times = fit("base", spec, data, cfg)
+        assert np.array_equal(base.weights, train(spec, data, 8).weights)
+        assert times["partition_s"] == times["aggregation_s"] == 0.0
+        radon, times = fit("radon", spec, data, cfg)
+        assert np.array_equal(radon.weights, radon_machine(spec, data, cfg)[0].weights)
+        assert set(times) == {"partition_s", "learning_s", "aggregation_s"}
+        avg, _ = fit("avg", spec, data, cfg)
+        assert np.array_equal(avg.weights, averaging_at_end(spec, data, 5, 8).weights)
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            fit("turbo", spec, data, cfg)
+
+
 class TestResolveHeight:
     def test_max_resolution(self):
         assert resolve_height("max", 10**6, 10, 100) == 4
@@ -175,6 +198,11 @@ class TestMcConfidence:
     def test_trial_floor_enforced(self):
         with pytest.raises(ConfigError):
             mc_confidence(r=4, h=1, delta_base=0.1, trials=10, seed=0)
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -5):
+            with pytest.raises(ConfigError, match="workers"):
+                mc_confidence(r=4, h=1, delta_base=0.1, trials=1000, seed=0, workers=workers)
 
     def test_memory_guard(self):
         with pytest.raises(ConfigError, match="cap"):
