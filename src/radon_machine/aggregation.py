@@ -15,7 +15,10 @@ for any worker count given the same seed.  A pool block trains its
 partitions in lock-step (see learners._train_block), which gives the same
 bits as one train() call per partition, the path taken with a single
 worker.  Radon levels fold in-process: their O(r^3) solves cost less than
-sending the hypotheses to a pool.
+sending the hypotheses to a pool.  ``_radon_level`` solves a whole level of
+groups with one stacked call of radon_points' kernel; ``radon_machine``'s
+single tree takes one radon_point call per group instead, which gives the
+same bits and keeps every group's certificate for the trace.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError, DataError
 from .learners import Hypothesis, LearnerSpec, _train_block, train
-from .radon_points import radon_point
+from .radon_points import _radon_stack, certify, radon_point
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,16 @@ class RadonConfig:
 
 @dataclass
 class AggregationTrace:
-    """Per-run accounting: tree shape, subset size, and phase wall times."""
+    """Per-run accounting: tree shape, subset size, and phase wall times.
+
+    ``pin_fallbacks`` and ``max_cert_residual`` hold one entry per Radon
+    level: the number of groups whose winning pin is not 0, and the largest
+    certify() residual among the level's points.
+    """
 
     hypotheses_per_level: list[int] = field(default_factory=list)
+    pin_fallbacks: list[int] = field(default_factory=list)
+    max_cert_residual: list[float] = field(default_factory=list)
     n_subset: int = 0
     wall_time_partition: float = 0.0
     wall_time_learning: float = 0.0
@@ -186,23 +196,30 @@ def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
     """One aggregation round: replace each contiguous group of r rows along
     axis -2 by its Radon point.  Leading axes index independent trees."""
     *trees, rows, dim = points.shape
-    groups = points.reshape(-1, r, dim)
-    out = np.empty((groups.shape[0], dim))
-    for g, group in enumerate(groups):
-        out[g] = radon_point(group).point
-    return out.reshape(*trees, rows // r, dim)
+    point = _radon_stack(points.reshape(-1, r, dim))[3]
+    return point.reshape(*trees, rows // r, dim)
 
 
-def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, list[int]]:
-    """Fold cfg.h levels of Radon points over the hypothesis matrix."""
-    counts = [points.shape[0]]
+def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
+    """Fold cfg.h levels of Radon points over the hypothesis matrix.
+
+    Returns the root and a trace of the tree: the hypothesis count, pin
+    fallbacks and worst certificate residual of every level.
+    """
+    trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
     level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     for _ in range(cfg.h):
         if cfg.shuffle_levels:
             points = points[level_rng.permutation(points.shape[0])]
-        points = _radon_level(points, cfg.r)
-        counts.append(points.shape[0])
-    return points, counts
+        groups = points.reshape(-1, cfg.r, points.shape[1])
+        certs = [radon_point(group) for group in groups]
+        points = np.array([cert.point for cert in certs])
+        trace.hypotheses_per_level.append(len(certs))
+        trace.pin_fallbacks.append(sum(cert.pin != 0 for cert in certs))
+        trace.max_cert_residual.append(
+            max(certify(group, cert) for group, cert in zip(groups, certs))
+        )
+    return points, trace
 
 
 def radon_machine(
@@ -240,17 +257,12 @@ def radon_machine(
 
     weights, times = train_on_partitions(spec, data, parts, cfg.seed, workers=cfg.workers)
     t0 = time.perf_counter()
-    final, counts = _aggregate_levels(weights, cfg)
-    agg_time = time.perf_counter() - t0
-
-    trace = AggregationTrace(
-        hypotheses_per_level=counts,
-        n_subset=data.n_rows // parts,
-        wall_time_partition=times["partition_s"],
-        wall_time_learning=times["learning_s"],
-        wall_time_aggregation=agg_time,
-        deparallelisation_factor=max(1.0, parts / cfg.workers),
-    )
+    final, trace = _aggregate_levels(weights, cfg)
+    trace.wall_time_aggregation = time.perf_counter() - t0
+    trace.n_subset = data.n_rows // parts
+    trace.wall_time_partition = times["partition_s"]
+    trace.wall_time_learning = times["learning_s"]
+    trace.deparallelisation_factor = max(1.0, parts / cfg.workers)
     return Hypothesis(weights=final[0], fit_bias=spec.fit_bias), trace
 
 

@@ -264,7 +264,10 @@ def _cmd_train(args) -> int:
     )
     dim = spec.hypothesis_dim(data.dim)
     r = dim + 2
-    h = resolve_height(args.h if args.h == "max" else int(args.h), data.n_rows, r, args.n_min)
+    h = args.h if args.h == "max" else int(args.h)
+    # base builds no tree, so only "max" needs resolving for it.
+    if args.algorithm != "base" or h == "max":
+        h = resolve_height(h, data.n_rows, r, args.n_min)
     cfg = RadonConfig(r=r, h=h, seed=seed, n_min=args.n_min, workers=workers)
     hyp, _ = fit(args.algorithm, spec, data, cfg)
 

@@ -13,6 +13,12 @@ and forming the common convex combination
 
 where L = sum_{i in I} lam_i.  Every operation here is a pure function, so
 calls are safe from any number of concurrent workers.
+
+``_radon_stack`` computes the Radon points of a whole stack of sets: one
+stacked LAPACK solve with coefficient 0 pinned to 1, and the scaled-pivoting
+elimination of ``solve_radon_system`` only for the sets that solve fails.
+``radon_point`` is its batch of one, and every point it emits is checked
+against its certificate.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class RadonCertificate:
     lambda_sum: L, the total positive mass; the convex weights are
                 lam[pos_idx] / L and -lam[neg_idx] / L
     point:      the common point of the two convex combinations
+    pin:        index of the coefficient the winning solve pinned to 1
     """
 
     lam: np.ndarray
@@ -46,6 +53,7 @@ class RadonCertificate:
     neg_idx: np.ndarray
     lambda_sum: float
     point: np.ndarray
+    pin: int = 0
 
 
 def radon_number(dim: int) -> int:
@@ -80,10 +88,19 @@ def solve_radon_system(points) -> np.ndarray:
     the residual check wins, which makes the result a deterministic function
     of the input order.
     """
-    pts = as_point_array(points)
-    r, dim = pts.shape
+    return _first_passing_pin(points)[0]
+
+
+def _check_count(r: int, dim: int) -> None:
     if r != dim + 2:
         raise ShapeError(f"need exactly {dim + 2} points in dimension {dim}, got {r}")
+
+
+def _first_passing_pin(points) -> tuple[np.ndarray, int]:
+    """solve_radon_system's coefficient vector and its winning pin."""
+    pts = as_point_array(points)
+    r, dim = pts.shape
+    _check_count(r, dim)
 
     # Rows: the dim coordinate equations plus the coefficient-sum equation.
     h_mat = np.vstack([pts.T, np.ones((1, r))])
@@ -96,7 +113,7 @@ def solve_radon_system(points) -> np.ndarray:
         lam = np.insert(x, pin, 1.0)
         residual = float(np.abs(h_mat @ lam).max())
         if residual <= tol and np.any(lam < 0.0):
-            return lam
+            return lam, pin
 
     # Unreachable for finite inputs: r points in r-2 dimensions are always
     # affinely dependent, so some coordinate of some solution is non-zero.
@@ -141,20 +158,85 @@ def _solve_allowing_free_vars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _radon_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Radon points of a stack of finite sets, ``pts`` of shape (n, r, r - 2).
+
+    Returns the coefficient vectors (n, r), winning pins (n,), positive
+    masses L (n,) and points (n, r - 2).  Every set is solved at pin 0 by one
+    stacked LAPACK call.  A set passes when its pinned matrix is not exactly
+    singular, its residual is within tolerance and some coefficient is
+    negative; every other set goes through solve_radon_system's elimination
+    and first-passing-pin rule.  Each point is the convex combination of its
+    set's non-negative side, and every point is checked against its
+    certificate (see _certify_stack).
+    """
+    n, r, dim = pts.shape
+    _check_count(r, dim)
+    h_mat = np.concatenate([pts.transpose(0, 2, 1), np.ones((n, 1, r))], axis=1)
+    a = h_mat[:, :, 1:].copy()
+    # An exactly singular matrix has a zero LU pivot, so its determinant is
+    # 0 (or not finite when the product overflows); an identity stand-in
+    # keeps the stacked solve from raising, and the set falls back.
+    det = np.linalg.det(a)
+    regular = np.isfinite(det) & (det != 0.0)
+    a[~regular] = np.eye(r - 1)
+    x = np.linalg.solve(a, -h_mat[:, :, :1])[:, :, 0]
+    lam = np.concatenate([np.ones((n, 1)), x], axis=1)
+    pins = np.zeros(n, dtype=np.intp)
+
+    tol = RESIDUAL_RTOL * (1.0 + np.abs(pts).max(axis=(1, 2)))
+    residual = np.abs((h_mat * lam[:, None, :]).sum(axis=2)).max(axis=1)
+    passed = regular & (residual <= tol) & (lam < 0.0).any(axis=1)
+    for i in np.flatnonzero(~passed):
+        lam[i], pins[i] = _first_passing_pin(pts[i])
+
+    weights = np.where(lam >= 0.0, lam, 0.0)
+    lambda_sum = weights.sum(axis=1)
+    point = ((weights / lambda_sum[:, None])[:, :, None] * pts).sum(axis=1)
+    _certify_stack(pts, lam, lambda_sum, point, tol)
+    return lam, pins, lambda_sum, point
+
+
+def _violations(pts, lam, pos, lambda_sum, point) -> np.ndarray:
+    """Per-set largest violation of the certificate conditions (see certify),
+    for stacks of sets (n, r, d), coefficients (n, r), non-negative-side
+    masks (n, r), masses (n,) and points (n, d)."""
+    scale = lambda_sum[:, None]
+    w_pos = np.where(pos, lam, 0.0) / scale
+    w_neg = np.where(pos, 0.0, -lam) / scale
+    worst = np.maximum(np.where(pos, -lam, lam), 0.0).max(axis=1)
+    for w in (w_pos, w_neg):
+        worst = np.maximum(worst, np.abs(w.sum(axis=1) - 1.0))
+        comb = (w[:, :, None] * pts).sum(axis=1)
+        worst = np.maximum(worst, np.abs(comb - point).max(axis=1))
+    return worst
+
+
+def _certify_stack(pts, lam, lambda_sum, point, tol) -> None:
+    """Raise DegenerateSetError unless every set's certificate, split by the
+    signs of its coefficients, holds within its tolerance."""
+    worst = _violations(pts, lam, lam >= 0.0, lambda_sum, point)
+    failed = np.flatnonzero(~(worst <= tol))
+    if failed.size:
+        i = int(failed[0])
+        raise DegenerateSetError(
+            f"Radon point of set {i} violates its certificate by {worst[i]:.3g} "
+            f"(tolerance {tol[i]:.3g})"
+        )
+
+
 def radon_point(points) -> RadonCertificate:
     """Compute a Radon point of r = dim + 2 points, with its certificate."""
     pts = as_point_array(points)
-    lam = solve_radon_system(pts)
-    pos_idx = np.flatnonzero(lam >= 0.0)
-    neg_idx = np.flatnonzero(lam < 0.0)
-    lambda_sum = float(lam[pos_idx].sum())
-    point = (lam[pos_idx] / lambda_sum) @ pts[pos_idx]
+    lam, pins, lambda_sum, point = _radon_stack(pts[None])
+    lam = lam[0]
     return RadonCertificate(
         lam=lam,
-        pos_idx=pos_idx,
-        neg_idx=neg_idx,
-        lambda_sum=lambda_sum,
-        point=point,
+        pos_idx=np.flatnonzero(lam >= 0.0),
+        neg_idx=np.flatnonzero(lam < 0.0),
+        lambda_sum=float(lambda_sum[0]),
+        point=point[0],
+        pin=int(pins[0]),
     )
 
 
@@ -182,16 +264,9 @@ def certify(points, cert: RadonCertificate) -> float:
     if not cert.lambda_sum > 0.0:
         return float("inf")
 
-    scale = cert.lambda_sum
-    violations = [0.0]
-    if pos.size:
-        violations.append(float(np.maximum(0.0, -lam[pos]).max()))
-    if neg.size:
-        violations.append(float(np.maximum(0.0, lam[neg]).max()))
-    violations.append(abs(float(lam[pos].sum()) / scale - 1.0))
-    violations.append(abs(float(-lam[neg].sum()) / scale - 1.0))
-    pos_comb = (lam[pos] / scale) @ pts[pos]
-    neg_comb = (-lam[neg] / scale) @ pts[neg]
-    violations.append(float(np.abs(pos_comb - cert.point).max()))
-    violations.append(float(np.abs(neg_comb - cert.point).max()))
-    return max(violations)
+    pos_mask = np.zeros(r, dtype=bool)
+    pos_mask[pos] = True
+    worst = _violations(
+        pts[None], lam[None], pos_mask[None], np.array([cert.lambda_sum]), point[None]
+    )
+    return float(worst[0])

@@ -25,7 +25,7 @@ from radon_machine import (
     train_on_partitions,
     training_seeds,
 )
-from radon_machine.aggregation import _radon_level
+from radon_machine.aggregation import _aggregate_levels, _radon_level
 from radon_machine.learners import EXACT_SOLVE_MAX_DIM
 
 RIDGE = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=False)
@@ -249,6 +249,31 @@ class TestRadonLevel:
         assert root.shape == (trials, 1, r - 2)
         for t in range(trials):
             assert np.array_equal(root[t, 0], radon_point(level[t]).point)
+
+
+class TestAggregationTrace:
+    def test_forced_singleton_counts_a_pin_fallback(self):
+        # pin 0 is infeasible for the first group (its coefficient is zero in
+        # every solution); the second level's group is random
+        rng = np.random.default_rng(31)
+        forced = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        points = np.concatenate([forced, rng.standard_normal((12, 2))])
+        root, trace = _aggregate_levels(points, RadonConfig(r=4, h=2, seed=0))
+        assert trace.hypotheses_per_level == [16, 4, 1]
+        assert trace.pin_fallbacks == [1, 0]
+        assert len(trace.max_cert_residual) == 2
+        assert all(0.0 <= res <= 1e-12 for res in trace.max_cert_residual)
+        assert np.array_equal(root[0], radon_point(_radon_level(points, 4)).point)
+
+    def test_radon_machine_reports_one_entry_per_level(self):
+        data, _ = synth_classification(2500, 2, 0.1, seed=12)
+        spec = LearnerSpec(loss="logistic", epochs=1)
+        _, trace = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3))
+        assert trace.pin_fallbacks == [0, 0]
+        assert len(trace.max_cert_residual) == 2
+        assert max(trace.max_cert_residual) <= 1e-12
+        _, flat = radon_machine(spec, data, RadonConfig(r=5, h=0, seed=3))
+        assert (flat.pin_fallbacks, flat.max_cert_residual) == ([], [])
 
 
 class TestAveragingAtEnd:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radon_machine import LearnerSpec, averaging_at_end, synth_classification
+from radon_machine import LearnerSpec, averaging_at_end, synth_classification, train
 from radon_machine.cli import main
 
 
@@ -211,6 +211,19 @@ class TestTrainPredictRoundTrip:
         data, _ = synth_classification(1500, 2, 0.1, 6)
         expected = averaging_at_end(LearnerSpec(epochs=2), data, 5, 6)
         assert np.array_equal(np.array(model["weights"]), expected.weights)
+
+    def test_base_accepts_any_height(self, tmp_path, capsys):
+        # 2000 rows allow h <= 1 for a tree, but base builds none
+        args = ["train", "--synth", "classification", "--n", "2000", "--d", "2",
+                "--algorithm", "base", "--seed", "3"]
+        expected = train(LearnerSpec(), synth_classification(2000, 2, 0.1, 3)[0], 3)
+        for h in ("3", "max"):
+            model_path = tmp_path / f"model-{h}.json"
+            assert main([*args, "--h", h, "--out", str(model_path)]) == 0
+            model = json.loads(model_path.read_text())
+            assert model["h"] == (3 if h == "3" else 1)
+            assert np.array_equal(np.array(model["weights"]), expected.weights)
+        assert main([*args, "--h", "-1", "--out", str(tmp_path / "m.json")]) == 2
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):
         data_path = _write_tiny_csv(tmp_path)

@@ -7,6 +7,7 @@ from conftest import draw_convex_function
 from radon_machine import (
     ConfigError,
     DataError,
+    DegenerateSetError,
     RadonCertificate,
     ShapeError,
     certify,
@@ -14,6 +15,10 @@ from radon_machine import (
     radon_point,
     solve_radon_system,
 )
+from radon_machine import radon_points
+from radon_machine.radon_points import _certify_stack, _radon_stack
+
+FORCED_SINGLETON = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
 
 
 class TestRadonNumber:
@@ -95,6 +100,61 @@ class TestRadonPoint:
             dim = int(rng.integers(1, 7))
             cert = radon_point(rng.standard_normal((dim + 2, dim)))
             assert cert.lambda_sum >= 1.0 - 1e-12
+
+
+class TestRadonStack:
+    def test_mixed_stack_matches_radon_point_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        degenerate = [
+            FORCED_SINGLETON,
+            [[1.5, -2.0]] * 4,  # all points equal
+            [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [-2.0, -2.0]],  # collinear
+            [[0.3, 1.0], [-1.0, 2.0], [2.0, -0.5], [-1.0, 2.0]],  # one duplicated row
+        ]
+        random_sets = rng.standard_normal((10, 4, 2))
+        stack = np.concatenate([random_sets[:5], degenerate, random_sets[5:]])
+        lam, pins, lambda_sum, point = _radon_stack(stack)
+        for i, group in enumerate(stack):
+            cert = radon_point(group)
+            assert np.array_equal(point[i], cert.point)
+            assert np.array_equal(lam[i], cert.lam)
+            assert (pins[i], lambda_sum[i]) == (cert.pin, cert.lambda_sum)
+        assert pins[5] == 1 and radon_point(FORCED_SINGLETON).pin == 1
+        assert np.allclose(point[5], [1.0, 1.0], atol=1e-12)
+        assert np.array_equal(point[6], [1.5, -2.0])
+
+    def test_agrees_with_scalar_route(self):
+        rng = np.random.default_rng(23)
+        for r in range(3, 13):
+            stack = rng.standard_normal((40, r, r - 2))
+            point = _radon_stack(stack)[3]
+            for group, got in zip(stack, point):
+                lam = solve_radon_system(group)
+                pos = lam >= 0.0
+                expected = (lam[pos] / lam[pos].sum()) @ group[pos]
+                assert np.abs(got - expected).max() <= 1e-12
+
+    def test_certificate_check_rejects_corrupted_coefficients(self):
+        stack = np.random.default_rng(29).standard_normal((6, 5, 3))
+        lam, _, lambda_sum, point = _radon_stack(stack)
+        tol = np.full(6, 1e-9)
+        _certify_stack(stack, lam, lambda_sum, point, tol)
+        corrupted = lam.copy()
+        neg = np.flatnonzero(corrupted[4] < 0.0)[0]
+        corrupted[4, neg] *= 1.001
+        with pytest.raises(DegenerateSetError, match="set 4"):
+            _certify_stack(stack, corrupted, lambda_sum, point, tol)
+
+    def test_fallback_points_are_certified(self, monkeypatch):
+        solve = radon_points._first_passing_pin
+
+        def off_by_a_little(points):
+            lam, pin = solve(points)
+            return lam + np.array([0.0, 0.0, 0.0, -1e-3]), pin
+
+        monkeypatch.setattr(radon_points, "_first_passing_pin", off_by_a_little)
+        with pytest.raises(DegenerateSetError):
+            radon_point(FORCED_SINGLETON)
 
 
 class TestCertify:
