@@ -130,9 +130,22 @@ def _load_config_file(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _parse_height(text: str) -> int | str:
+    """The --h flag of benchmark and train: an integer or 'max'."""
+    if text == "max":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"--h must be an integer or 'max', got {text!r}") from None
 
 
 def _cmd_benchmark(args) -> int:
@@ -150,7 +163,7 @@ def _cmd_benchmark(args) -> int:
     if args.algorithms is not None:
         overrides["algorithms"] = tuple(args.algorithms.split(","))
     if args.h is not None:
-        overrides["h"] = args.h if args.h == "max" else int(args.h)
+        overrides["h"] = _parse_height(args.h)
     if overrides:
         config = replace(config, **overrides)
 
@@ -264,10 +277,9 @@ def _cmd_train(args) -> int:
     )
     dim = spec.hypothesis_dim(data.dim)
     r = dim + 2
-    h = args.h if args.h == "max" else int(args.h)
-    # base builds no tree, so only "max" needs resolving for it.
-    if args.algorithm != "base" or h == "max":
-        h = resolve_height(h, data.n_rows, r, args.n_min)
+    h = resolve_height(
+        _parse_height(args.h), data.n_rows, r, args.n_min, tree=args.algorithm != "base"
+    )
     cfg = RadonConfig(r=r, h=h, seed=seed, n_min=args.n_min, workers=workers)
     hyp, _ = fit(args.algorithm, spec, data, cfg)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,6 +107,37 @@ def load_dataset(path: str | Path, fmt: str = "csv") -> Dataset:
 
 
 def _load_csv(path: Path) -> Dataset:
+    mat = _loadtxt_csv(path)
+    if mat is None:
+        mat = _parse_csv_lines(path)
+    y, task = _infer_binary(mat[:, -1])
+    return Dataset(x=mat[:, :-1], y=y, task=task)
+
+
+def _loadtxt_csv(path: Path) -> np.ndarray | None:
+    r"""The data rows through np.loadtxt, or None where _parse_csv_lines
+    must decide: a cell loadtxt rejects, a column count unlike the header's,
+    no data rows, or a byte on which the two parsers disagree.  Both split
+    lines at \n, \r and \r\n and round cells correctly, but str.splitlines
+    also breaks lines at \x0b, \x0c, \x1c-\x1e and at non-ASCII separators,
+    and loadtxt strips \x1c-\x1f around a cell, which float() rejects.
+    """
+    raw = path.read_bytes()
+    if not raw.isascii() or any(byte in raw for byte in b"\x0b\x0c\x1c\x1d\x1e\x1f"):
+        return None
+    n_cols = re.match(rb"[^\r\n]*", raw)[0].count(b",") + 1
+    del raw  # not held while loadtxt parses
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header-only file
+            mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return mat if mat.shape[0] > 0 and mat.shape[1] == n_cols else None
+
+
+def _parse_csv_lines(path: Path) -> np.ndarray:
+    """Parse the CSV one line at a time; errors name the offending line."""
     lines = path.read_text().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -124,9 +157,7 @@ def _load_csv(path: Path) -> Dataset:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    mat = np.asarray(rows, dtype=np.float64)
-    y, task = _infer_binary(mat[:, -1])
-    return Dataset(x=mat[:, :-1], y=y, task=task)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _load_svmlight(path: Path) -> Dataset:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .aggregation import (
     RadonConfig,
+    _aggregate_levels,
     _pool_map,
     _radon_level,
     max_height,
@@ -144,8 +145,14 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
     raise ConfigError(f"unknown dataset source {source!r}")
 
 
-def resolve_height(h: int | str, n_rows: int, r: int, n_min: int) -> int:
-    """Turn the configured height (possibly 'max') into a feasible integer."""
+def resolve_height(h: int | str, n_rows: int, r: int, n_min: int, tree: bool = True) -> int:
+    """Turn the configured height (possibly 'max') into a feasible integer.
+
+    With ``tree=False`` (only the base learner runs, which builds no tree)
+    an integer height is returned as given and only 'max' is resolved.
+    """
+    if h != "max" and not tree:
+        return int(h)
     h_max = max_height(n_rows, r, n_min)
     if h == "max":
         return h_max
@@ -184,8 +191,10 @@ def run_benchmark(config: ExperimentConfig) -> dict:
 
     Trains each algorithm on every fold's training split, evaluates on the
     held-out fold (AUC for binary tasks, RMSE for regression), and records
-    partitioning, learning, and aggregation wall times separately.  Writes
-    a JSON report and a flat per-fold CSV when ``config.out`` is set.
+    partitioning, learning, and aggregation wall times separately.  ``radon``
+    and ``avg`` fold the same partition models, trained once per fold, so
+    their rows carry the same ``partition_s`` and ``learning_s``.  Writes a
+    JSON report and a flat per-fold CSV when ``config.out`` is set.
     """
     data = resolve_dataset(config.dataset, config.seed)
     spec = config.learner
@@ -193,6 +202,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     r = dim + 2
     metric_name = "auc" if data.task == "binary" else "rmse"
     plan = kfold(data, config.cv_folds, config.seed)
+    tree = any(name != "base" for name in config.algorithms)
 
     per_alg: dict[str, list[dict]] = {name: [] for name in config.algorithms}
     heights: list[int] = []
@@ -200,9 +210,8 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         train_idx = plan.train_indices(fold)
         train_split = data.subset(train_idx)
         test_idx = plan.test_indices(fold)
-        h = resolve_height(config.h, train_split.n_rows, r, config.n_min)
+        h = resolve_height(config.h, train_split.n_rows, r, config.n_min, tree=tree)
         heights.append(h)
-        parts = r**h
         cfg = RadonConfig(
             r=r,
             h=h,
@@ -211,15 +220,26 @@ def run_benchmark(config: ExperimentConfig) -> dict:
             workers=config.workers,
             shuffle_levels=config.shuffle_levels,
         )
+        # radon at h = 0 is the base learner on the whole split; avg, and
+        # radon above it, fold one shared set of partition models.
+        shared = [
+            name for name in config.algorithms if name == "avg" or (name == "radon" and h > 0)
+        ]
+        if shared:
+            weights, times = train_on_partitions(
+                spec, train_split, r**h, config.seed, workers=config.workers
+            )
+            checksum = partition_checksum(train_idx, r**h, config.seed)
         for name in config.algorithms:
-            hyp, row = fit(name, spec, train_split, cfg)
+            if name in shared:
+                hyp, aggregation_s = _fold(name, weights, spec, cfg)
+                row = {**times, "aggregation_s": aggregation_s, "partition_checksum": checksum}
+            else:
+                hyp, row = fit(name, spec, train_split, cfg)
+                row["partition_checksum"] = None
             row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
             row["fold"] = fold
             row["metric"] = _evaluate(hyp, data, test_idx)
-            uses_partitions = name == "avg" or (name == "radon" and h > 0)
-            row["partition_checksum"] = (
-                partition_checksum(train_idx, parts, config.seed) if uses_partitions else None
-            )
             per_alg[name].append(row)
 
     algorithms = {}
@@ -296,10 +316,23 @@ def fit(
         weights, times = train_on_partitions(
             spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers
         )
-        t0 = time.perf_counter()
-        hyp = Hypothesis(weights=weights.mean(axis=0), fit_bias=spec.fit_bias)
-        return hyp, {**times, "aggregation_s": time.perf_counter() - t0}
+        hyp, aggregation_s = _fold(name, weights, spec, cfg)
+        return hyp, {**times, "aggregation_s": aggregation_s}
     raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+
+
+def _fold(
+    name: str, weights: np.ndarray, spec: LearnerSpec, cfg: RadonConfig
+) -> tuple[Hypothesis, float]:
+    """Fold a (parts, dim) matrix of partition models into one hypothesis:
+    ``radon`` through cfg.h levels of Radon points, ``avg`` by the column
+    mean.  Returns the hypothesis and the fold's wall time."""
+    t0 = time.perf_counter()
+    if name == "radon":
+        root = _aggregate_levels(weights, cfg)[0][0]
+    else:
+        root = weights.mean(axis=0)
+    return Hypothesis(weights=root, fit_bias=spec.fit_bias), time.perf_counter() - t0
 
 
 def _mc_shard(args) -> np.ndarray:

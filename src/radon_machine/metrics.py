@@ -30,15 +30,12 @@ def auc(scores, labels) -> float:
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # Runs of equal sorted values: starts[k] <= i < ends[k].
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     return ranks
 
 

@@ -256,3 +256,22 @@ class TestTrainPredictRoundTrip:
         bad_model = tmp_path / "model.json"
         bad_model.write_text("{}")
         assert main(["predict", "--model", str(bad_model), "--data", str(data_path)]) == 2
+
+
+class TestConfigAndHeightFlags:
+    @pytest.mark.parametrize("command", ["benchmark", "mc-bound", "bounds"])
+    @pytest.mark.parametrize("payload", ["[1]", "3", '"h"', "null"])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, command, payload):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(payload)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_height_is_config_error(self, tmp_path, capsys, value):
+        assert main(["benchmark", "--h", value, "--cv-folds", "2"]) == 2
+        assert "--h must be an integer or 'max'" in capsys.readouterr().err
+        train_args = ["train", "--synth", "classification", "--n", "500", "--d", "2"]
+        assert main([*train_args, "--h", value, "--out", str(tmp_path / "m.json")]) == 2
+        assert "--h must be an integer or 'max'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()

@@ -1,5 +1,7 @@
 """Dataset loading, synthetic generators, folds, and metric oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,115 @@ class TestDatasetInvariants:
         data, _ = synth_classification(10, 2, 0.0, seed=0)
         with pytest.raises(ValueError):
             data.x[0, 0] = 5.0
+
+
+def _per_line(path):
+    """The per-line CSV parser's dataset, the reference for the fast path."""
+    from radon_machine.datasets import _infer_binary, _parse_csv_lines
+
+    mat = _parse_csv_lines(path)
+    y, task = _infer_binary(mat[:, -1])
+    return Dataset(x=mat[:, :-1], y=y, task=task)
+
+
+class TestCsvFastPath:
+    """load_dataset reads CSV through np.loadtxt and must give the per-line
+    parser's bits; the cases below all take the fast path."""
+
+    def _assert_fast_and_equal(self, path):
+        from radon_machine.datasets import _loadtxt_csv
+
+        assert _loadtxt_csv(path) is not None
+        fast, reference = load_dataset(path, "csv"), _per_line(path)
+        assert fast.x.tobytes() == reference.x.tobytes()
+        assert fast.y.tobytes() == reference.y.tobytes()
+        assert fast.task == reference.task
+        return fast
+
+    def test_full_precision_file(self, tmp_path):
+        rng = np.random.default_rng(21)
+        table = np.column_stack(
+            [rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-300, 300, (500, 4)),
+             rng.integers(0, 2, 500)]
+        )
+        path = tmp_path / "d.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,d,y", comments="")
+        data = self._assert_fast_and_equal(path)
+        assert data.n_rows == 500 and data.task == "binary"
+
+    def test_crlf_blank_lines_and_spaces_around_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\r\n\r\n 0.1 ,-2.5e-3,1\r\n\r\n3,\t4 , 0.25 \r\n\r\n")
+        data = self._assert_fast_and_equal(path)
+        assert np.array_equal(data.x, [[0.1, -2.5e-3], [3.0, 4.0]])
+        assert data.task == "regression"
+
+    def test_single_data_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1.5,2,1")
+        data = self._assert_fast_and_equal(path)
+        assert data.x.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("1,2,1\n3,oops,-1\n", 3),  # a cell that is no number
+            ("1,2,1\n3,4,1\n5,6\n", 4),  # a short row
+            ("1,2,1\n#3,4,1\n", 3),  # '#' starts no comment
+            ("1,2,1\n3,4,-1#x\n", 3),
+            ("1,2\x1c,1\n", 2),  # loadtxt would strip \x1c, float() rejects it
+            ("1,2\x0c,1\n", 2),  # str.splitlines breaks the line at \x0c
+        ],
+    )
+    def test_bad_lines_are_named(self, tmp_path, body, line):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n" + body, newline="")
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            load_dataset(path, "csv")
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                load_dataset(path, "csv")
+
+    def test_header_column_count_is_checked(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n1,2,1\n3,4,-1\n")
+        with pytest.raises(ParseError, match="line 2: expected 2 columns, got 3"):
+            load_dataset(path, "csv")
+
+
+def _loop_average_ranks(values):
+    """The rank loop metrics._average_ranks replaced, kept as its oracle."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(3).standard_normal(2000),  # no ties
+            np.random.default_rng(4).integers(0, 9, 2000).astype(float),  # long runs
+            np.round(np.random.default_rng(5).standard_normal(3000), 1),
+            np.array([2.0, 2.0, 2.0, 2.0]),
+            np.array([1.0]),
+            np.array([0.0, -0.0, np.nan, 1.0, np.nan, 1.0]),
+        ],
+    )
+    def test_equals_the_loop_bit_for_bit(self, values):
+        from radon_machine.metrics import _average_ranks
+
+        assert _average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()

@@ -1,6 +1,7 @@
 """Benchmark orchestration, Monte-Carlo validation, and bound tables."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,3 +227,58 @@ class TestBoundsTable:
         rows = bounds_table(self.PARAMS, 5, 0.01, range(0, 6))
         deltas = [row["delta"] for row in rows]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
+
+
+class TestSharedPartitionTraining:
+    @pytest.mark.parametrize("shuffle_levels", [False, True])
+    def test_each_fold_trains_once_and_matches_fit(self, monkeypatch, shuffle_levels):
+        from radon_machine import experiments
+        from radon_machine.datasets import kfold
+
+        calls = []
+        original = experiments.train_on_partitions
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_on_partitions", counting)
+        config = ExperimentConfig(**{**SMALL_BENCH, "shuffle_levels": shuffle_levels})
+        report = run_benchmark(config)
+        assert len(calls) == config.cv_folds
+
+        data = experiments.resolve_dataset(config.dataset, config.seed)
+        plan = kfold(data, config.cv_folds, config.seed)
+        r = report["radon_number"]
+        for fold, h in enumerate(report["heights_per_fold"]):
+            assert h > 0
+            train_split = data.subset(plan.train_indices(fold))
+            cfg = RadonConfig(
+                r=r, h=h, seed=config.seed, n_min=config.n_min, shuffle_levels=shuffle_levels
+            )
+            for name in ("radon", "avg"):
+                hyp, _ = fit(name, config.learner, train_split, cfg)
+                expected = experiments._evaluate(hyp, data, plan.test_indices(fold))
+                row = report["algorithms"][name]["per_fold"][fold]
+                assert row["metric"] == expected
+            radon_row = report["algorithms"]["radon"]["per_fold"][fold]
+            avg_row = report["algorithms"]["avg"]["per_fold"][fold]
+            assert radon_row["partition_s"] == avg_row["partition_s"]
+            assert radon_row["learning_s"] == avg_row["learning_s"]
+
+    def test_base_only_keeps_an_explicit_height(self):
+        config = ExperimentConfig(
+            dataset={"source": "synthetic-classification", "n": 2000, "d": 2, "noise": 0.1},
+            learner=LearnerSpec(loss="squared", reg_lambda=0.1),
+            algorithms=("base",),
+            cv_folds=2,
+            h=3,
+            seed=5,
+        )
+        report = run_benchmark(config)
+        assert report["heights_per_fold"] == [3, 3]
+        assert report["algorithms"]["base"]["per_fold"][0]["partition_checksum"] is None
+        with pytest.raises(ConfigError, match="h_max=1"):
+            run_benchmark(replace(config, algorithms=("base", "avg")))
+        resolved = run_benchmark(replace(config, h="max"))
+        assert resolved["heights_per_fold"] == [1, 1]
