@@ -261,7 +261,9 @@ class TestTrainPredictRoundTrip:
 class TestConfigAndHeightFlags:
     @pytest.mark.parametrize("command", ["benchmark", "mc-bound", "bounds"])
     @pytest.mark.parametrize("payload", ["[1]", "3", '"h"', "null"])
-    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, command, payload):
+    def test_config_that_is_not_an_object_is_config_error(
+        self, tmp_path, capsys, command, payload
+    ):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(payload)
         assert main([command, "--config", str(cfg_path)]) == 2

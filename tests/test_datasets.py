@@ -20,6 +20,8 @@ from radon_machine import (
     synth_regression,
     train,
 )
+from radon_machine.datasets import _infer_binary, _loadtxt_csv, _parse_csv_lines
+from radon_machine.metrics import _average_ranks
 
 
 class TestCsvLoading:
@@ -254,8 +256,6 @@ class TestDatasetInvariants:
 
 def _per_line(path):
     """The per-line CSV parser's dataset, the reference for the fast path."""
-    from radon_machine.datasets import _infer_binary, _parse_csv_lines
-
     mat = _parse_csv_lines(path)
     y, task = _infer_binary(mat[:, -1])
     return Dataset(x=mat[:, :-1], y=y, task=task)
@@ -266,8 +266,6 @@ class TestCsvFastPath:
     parser's bits; the cases below all take the fast path."""
 
     def _assert_fast_and_equal(self, path):
-        from radon_machine.datasets import _loadtxt_csv
-
         assert _loadtxt_csv(path) is not None
         fast, reference = load_dataset(path, "csv"), _per_line(path)
         assert fast.x.tobytes() == reference.x.tobytes()
@@ -359,6 +357,4 @@ class TestAverageRanks:
         ],
     )
     def test_equals_the_loop_bit_for_bit(self, values):
-        from radon_machine.metrics import _average_ranks
-
         assert _average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()

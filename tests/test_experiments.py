@@ -21,6 +21,7 @@ from radon_machine import (
     synth_classification,
     train,
 )
+from radon_machine import experiments, kfold
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
 
 SMALL_BENCH = dict(
@@ -232,9 +233,6 @@ class TestBoundsTable:
 class TestSharedPartitionTraining:
     @pytest.mark.parametrize("shuffle_levels", [False, True])
     def test_each_fold_trains_once_and_matches_fit(self, monkeypatch, shuffle_levels):
-        from radon_machine import experiments
-        from radon_machine.datasets import kfold
-
         calls = []
         original = experiments.train_on_partitions
 

@@ -1,6 +1,6 @@
 """Condense perfbench results into one BENCH_<tag>.json at the repository root.
 
-    python3 tools/bench_condense.py --tag <tag> [--src perfbench/out] [--out-dir .]
+    python3 tools/bench_condense.py --tag <tag> [--src perfbench/out]
 
 Reads every end-to-end result file ``<workload>-seed<n>-trace0.json`` under
 ``--src`` (as written by ``perfbench/run.py``) and writes, per workload, the
@@ -59,7 +59,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
     parser.add_argument("--src", type=Path, default=ROOT / "perfbench" / "out")
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     paths = sorted(args.src.glob("*-seed*-trace0.json"))
     try:
@@ -67,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"bench_condense: {exc}", file=sys.stderr)
         return 2
-    out = args.out_dir / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"{len(paths)} runs -> {out}")
     return 0
