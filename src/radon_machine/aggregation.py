@@ -6,19 +6,18 @@ exactly r hypotheses (contiguous blocks in creation order) by their Radon
 point.  The averaging baseline trains on the same partitions and returns the
 coordinate-wise mean instead.
 
-This module is the only one that starts processes: ``_pool_map`` runs a
-function over a list in order, in-process for one worker and otherwise on
-one bounded process pool.  The pool serves two kinds of work, blocks of
-partitions to train and Monte-Carlo shards (see experiments).  Each pool
-task returns its results in a fixed order, so the output is bit-identical
-for any worker count given the same seed.  A pool block trains its
-partitions in lock-step (see learners._train_block), which gives the same
-bits as one train() call per partition, the path taken with a single
-worker.  Radon levels fold in-process: their O(r^3) solves cost less than
-sending the hypotheses to a pool.  ``_radon_level`` solves a whole level of
-groups with one stacked call of radon_points' kernel; ``radon_machine``'s
-single tree takes one radon_point call per group instead, which gives the
-same bits and keeps every group's certificate for the trace.
+Training runs in-process for any worker count: with more than one worker
+all partitions go through one call of the lock-step kernel
+(learners._train_block), which gives the same bits as the single worker's
+one train() call per partition.  The kernel makes one Python pass per SGD
+step however many partitions it trains, so a process pool only adds fork
+and pickling cost; on 2 CPUs it lost at every width from 121 to 1331
+partitions.  ``_pool_map``, the only place that starts processes, serves
+the Monte-Carlo shards (see experiments), in order, so their output is
+bit-identical for any worker count.  Radon levels fold in-process as well;
+``_radon_level`` solves a whole level with one stacked call of
+radon_points' kernel, while ``radon_machine``'s tree takes one radon_point
+call per group, which gives the same bits and keeps every certificate.
 """
 
 from __future__ import annotations
@@ -130,19 +129,6 @@ def training_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _train_chunk(args) -> list[tuple[int, np.ndarray]]:
-    spec, tasks = args
-    parts = [Dataset(x=x, y=y, task=task) for _, x, y, task, _ in tasks]
-    hyps = _train_block(spec, parts, [seed for *_, seed in tasks])
-    return [(slot, hyp.weights) for (slot, *_), hyp in zip(tasks, hyps)]
-
-
-def _chunked(items: list, n_chunks: int) -> list[list]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-    return [items[bounds[i] : bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-
-
 def _pool_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], on a pool of at most one process per
     item; in-process when that leaves a single worker."""
@@ -154,13 +140,10 @@ def _pool_map(fn, items: list, workers: int) -> list:
 
 
 def train_on_partitions(
-    spec: LearnerSpec,
-    data: Dataset,
-    parts: int,
-    seed: int,
-    workers: int = 1,
+    spec: LearnerSpec, data: Dataset, parts: int, seed: int, workers: int = 1
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """Train one hypothesis per partition; the shared path of both schemes.
+    """Train one hypothesis per partition, in-process for any worker count;
+    the shared path of both schemes.
 
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
@@ -170,24 +153,12 @@ def train_on_partitions(
     t0 = time.perf_counter()
     blocks = partition_indices(data.n_rows, parts, seed)
     seeds = training_seeds(seed, parts)
-    tasks = [
-        (i, data.x[blocks[i]], data.y[blocks[i]], data.task, seeds[i]) for i in range(parts)
-    ]
     t1 = time.perf_counter()
-
-    dim = spec.hypothesis_dim(data.dim)
-    weights = np.empty((parts, dim))
     if workers == 1:
-        for slot, x, y, task, s in tasks:
-            weights[slot] = train(spec, Dataset(x=x, y=y, task=task), s).weights
+        # Kept only for the benchmark self-test's train() span count (ROADMAP item 1).
+        weights = np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
     else:
-        # Four blocks per worker rather than one: each block's rows are
-        # pickled whole, and smaller blocks keep less of the data in flight
-        # at once; one block per worker is faster but raises peak memory.
-        chunks = _chunked(tasks, workers * 4)
-        for result in _pool_map(_train_chunk, [(spec, c) for c in chunks], workers):
-            for slot, w in result:
-                weights[slot] = w
+        weights = _train_block(spec, data, blocks, seeds)
     t2 = time.perf_counter()
     return weights, {"partition_s": t1 - t0, "learning_s": t2 - t1}
 
@@ -225,8 +196,8 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
 def radon_machine(
     spec: LearnerSpec, data: Dataset, cfg: RadonConfig
 ) -> tuple[Hypothesis, AggregationTrace]:
-    """Train r^h partition models in parallel and fold them through h
-    rounds of Radon points.
+    """Train r^h partition models (see train_on_partitions) and fold them
+    through h rounds of Radon points.
 
     Requires cfg.r == hypothesis dimension + 2 and enough rows for every
     partition to hold at least cfg.n_min examples.  With h = 0 this

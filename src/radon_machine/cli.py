@@ -24,6 +24,7 @@ from .experiments import (
     MC_CSV_COLUMNS,
     ExperimentConfig,
     bounds_table,
+    config_section,
     fit,
     mc_confidence,
     resolve_height,
@@ -183,7 +184,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_mc_bound(args) -> int:
-    section = _load_config_file(args.config).get("mc", {})
+    section = config_section(_load_config_file(args.config), "mc")
     r = args.r if args.r is not None else int(section.get("r", 4))
     h = args.h if args.h is not None else int(section.get("h", 2))
     delta_base = (
@@ -216,7 +217,7 @@ def _cmd_mc_bound(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    section = _load_config_file(args.config).get("bounds", {})
+    section = config_section(_load_config_file(args.config), "bounds")
 
     def pick(flag, key, default, cast):
         return cast(flag) if flag is not None else cast(section.get(key, default))

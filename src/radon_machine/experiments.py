@@ -109,7 +109,10 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "learner" in raw and isinstance(raw["learner"], dict):
+        for name in ("dataset", "learner", "bounds"):
+            if not (name == "bounds" and raw.get(name) is None):  # null: no bounds
+                config_section(raw, name)
+        if "learner" in raw:
             learner_known = set(LearnerSpec.__dataclass_fields__)
             bad = set(raw["learner"]) - learner_known
             if bad:
@@ -121,6 +124,16 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "algorithms": list(self.algorithms)}
+
+
+def config_section(raw: dict, name: str) -> dict:
+    """``raw[name]``, or {} when absent; a config error unless a JSON object."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"config section {name!r} must be a JSON object, got {type(section).__name__}"
+        )
+    return section
 
 
 def resolve_dataset(spec: dict, default_seed: int) -> Dataset:

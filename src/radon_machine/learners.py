@@ -21,8 +21,9 @@ an unbiased estimate of risk / n, so the stationary target is the summed
 objective above; the decay constant reg_lambda / n matches that per-step
 objective's regulariser.  Training is a pure function of (spec, data, seed)
 and instances share no state, so any number may run concurrently.
-``_train_block`` runs the SGD of many partitions in lock-step and returns
-the same bits as one ``train`` call per partition.
+``_train_block`` runs the SGD of many partitions in lock-step, in the
+caller's process, and returns the same bits as one ``train`` call per
+partition.  Diverged SGD raises ShapeError naming ``learning_rate0``.
 """
 
 from __future__ import annotations
@@ -157,45 +158,47 @@ def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:
             eta = lr0 / (1.0 + decay * t)
             w -= eta * (g * xi + reg_step * w)
             t += 1
+    if not np.all(np.isfinite(w)):
+        raise _diverged(spec)
     return Hypothesis(weights=w, fit_bias=spec.fit_bias)
 
 
-def _train_block(spec: LearnerSpec, parts: list[Dataset], seeds: list[int]) -> list[Hypothesis]:
-    """Equal bit for bit to ``[train(spec, d, s) for d, s in zip(parts, seeds)]``.
+def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) -> np.ndarray:
+    """Equal bit for bit to the rows
+    ``[train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)]``.
 
-    The SGD runs of the block advance in lock-step: step t of every
+    The SGD runs of the partitions advance in lock-step: step t of every
     partition is one vectorised update, so the Python loop makes as many
     passes as the longest run has steps rather than their sum.  Each
     partition keeps its own per-epoch permutations, its own step-size and
     regulariser constants from its own row count, and stops updating after
     its own last step of each epoch when the partitions differ in size.
+    The augmented matrix is filled block by block from ``data.x``; every
+    block must be non-empty, as partition_indices makes them.
     """
-    if not parts:
-        return []
-    for data in parts:
-        _check_labels(spec, data)
-    p = spec.hypothesis_dim(parts[0].dim)
-    if len(parts) == 1 or (spec.loss == "squared" and p <= EXACT_SOLVE_MAX_DIM):
-        # a block of one gains nothing from lock-step; squared loss here
+    _check_labels(spec, data)
+    p = spec.hypothesis_dim(data.dim)
+    if len(blocks) == 1 or (spec.loss == "squared" and p <= EXACT_SOLVE_MAX_DIM):
+        # one partition gains nothing from lock-step; squared loss here
         # takes train()'s exact solve
-        return [train(spec, data, seed) for data, seed in zip(parts, seeds)]
+        return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
-    sizes = np.array([data.n_rows for data in parts])
+    sizes = np.array([len(block) for block in blocks])
     starts = np.cumsum(sizes) - sizes
     xa = np.ones((int(sizes.sum()), p))  # the bias column, if any, stays 1
-    for data, start in zip(parts, starts):
-        xa[start : start + data.n_rows, : data.dim] = data.x
-    y = np.concatenate([data.y for data in parts])
+    for block, start in zip(blocks, starts):
+        xa[start : start + len(block), : data.dim] = data.x[block]
+    y = data.y[np.concatenate(blocks)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    w = np.zeros((len(parts), p))
+    w = np.zeros((len(blocks), p))
     lr0 = spec.learning_rate0
     decay = lr0 * spec.reg_lambda / sizes
     reg_step = spec.reg_lambda / sizes
     all_live = int(sizes.min())
     # rows[s, k]: row of xa that partition k visits at step s of the
     # current epoch; entries past a partition's own size are never used.
-    rows = np.zeros((int(sizes.max()), len(parts)), dtype=np.intp)
+    rows = np.zeros((int(sizes.max()), len(blocks)), dtype=np.intp)
     for epoch in range(spec.epochs):
         for k, rng in enumerate(rngs):
             rows[: sizes[k], k] = starts[k] + rng.permutation(sizes[k])
@@ -210,7 +213,15 @@ def _train_block(spec: LearnerSpec, parts: list[Dataset], seeds: list[int]) -> l
             wl -= eta[:, None] * (g[:, None] * xt + reg_step[live, None] * wl)
             if s >= all_live:
                 w[live] = wl
-    return [Hypothesis(weights=wk, fit_bias=spec.fit_bias) for wk in w]
+    diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
+    if diverged.size:
+        raise _diverged(spec, f" on partition {diverged[0]}")
+    return w
+
+
+def _diverged(spec: LearnerSpec, where: str = "") -> ShapeError:
+    lr0 = spec.learning_rate0
+    return ShapeError(f"SGD diverged{where}: non-finite weights; learning_rate0={lr0} is too large")
 
 
 def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) -> np.ndarray:

@@ -230,8 +230,54 @@ class TestPoolTraining:
         data, _ = synth_classification(300, 2, 0.1, seed=3)
         spec = LearnerSpec(loss="logistic", epochs=1)
         weights, _ = train_on_partitions(spec, data, 3, 0, workers=8)
-        assert sizes == [2, 3]
+        assert sizes == [2]
         assert np.array_equal(weights, train_on_partitions(spec, data, 3, 0)[0])
+
+
+
+class _NoPool:
+    """Stands in for ProcessPoolExecutor and fails if anything builds one."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("training started a process pool")
+
+
+class TestInProcessTraining:
+    def test_no_pool_and_bit_equal_for_any_worker_count(self, monkeypatch):
+        data, _ = synth_classification(2003, 3, 0.1, seed=21)
+        spec = LearnerSpec(loss="logistic", reg_lambda=0.01, epochs=2)
+        single = train_on_partitions(spec, data, 25, 4)[0]
+        cfg = RadonConfig(r=6, h=2, seed=4, n_min=50)
+        single_root = radon_machine(spec, data, cfg)[0].weights
+        monkeypatch.setattr(aggregation, "ProcessPoolExecutor", _NoPool)
+        assert np.array_equal(train_on_partitions(spec, data, 25, 4, workers=8)[0], single)
+        many = RadonConfig(r=6, h=2, seed=4, n_min=50, workers=8)
+        assert np.array_equal(radon_machine(spec, data, many)[0].weights, single_root)
+
+    @pytest.mark.parametrize("d", [3, EXACT_SOLVE_MAX_DIM + 8])
+    def test_squared_loss_matches_per_partition_train(self, d):
+        # d = 3 takes train()'s exact solve; above EXACT_SOLVE_MAX_DIM the
+        # kernel runs squared-loss SGD in lock-step
+        data, _ = synth_regression(203, d, 0.1, seed=5)
+        spec = LearnerSpec(loss="squared", reg_lambda=0.1, epochs=2, learning_rate0=0.001)
+        parts, seed = 7, 9
+        weights, _ = train_on_partitions(spec, data, parts, seed, workers=2)
+        blocks = partition_indices(data.n_rows, parts, seed)
+        expected = [
+            train(spec, data.subset(ix), s).weights
+            for ix, s in zip(blocks, training_seeds(seed, parts))
+        ]
+        assert np.array_equal(weights, np.stack(expected))
+
+    def test_diverged_sgd_names_learning_rate_and_partition(self):
+        wide, _ = synth_regression(200, EXACT_SOLVE_MAX_DIM + 88, 0.1, seed=3)
+        diverging = LearnerSpec(loss="squared", learning_rate0=100.0)
+        first_part = wide.subset(partition_indices(200, 16, 0)[0])
+        with np.errstate(all="ignore"):
+            with pytest.raises(ShapeError, match=r"learning_rate0=100\.0"):
+                train(diverging, first_part, training_seeds(0, 16)[0])
+            with pytest.raises(ShapeError, match=r"partition 0\b.*learning_rate0=100\.0"):
+                train_on_partitions(diverging, wide, 16, 0, workers=2)
 
 
 class TestRadonLevel:

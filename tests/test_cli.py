@@ -277,3 +277,20 @@ class TestConfigAndHeightFlags:
         assert main([*train_args, "--h", value, "--out", str(tmp_path / "m.json")]) == 2
         assert "--h must be an integer or 'max'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, section",
+        [
+            ("mc-bound", {"mc": [1]}, "mc"),
+            ("bounds", {"bounds": 3}, "bounds"),
+            ("benchmark", {"learner": [1]}, "learner"),
+            ("benchmark", {"dataset": [1]}, "dataset"),
+        ],
+    )
+    def test_section_that_is_not_an_object_is_config_error(
+        self, tmp_path, capsys, command, payload, section
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"config section '{section}' must be a JSON object" in capsys.readouterr().err

@@ -6,9 +6,11 @@ Reads every end-to-end result file ``<workload>-seed<n>-trace0.json`` under
 ``--src`` (as written by ``perfbench/run.py``) and writes, per workload, the
 number of runs and their seeds, the median of the runs' ``op_vs_ref`` with
 its minimum and maximum, and the median of each other end-to-end metric.
-The host record is taken from the runs, without the load average; runs of
-different source trees (``src_sha256``) or hosts are refused, so one file
-describes one tree on one host.  Standard library only.
+Traced result files ``<workload>-seed<n>-trace1.json`` add, per workload,
+their count and seeds and the median of each per-layer metric under
+``per_layer``.  The host record is taken from the runs, without the load
+average; runs of different source trees (``src_sha256``) or hosts are
+refused, so one file describes one tree on one host.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,19 +25,23 @@ ROOT = Path(__file__).resolve().parent.parent
 HOST_KEYS = ("cpu_count", "python", "numpy", "commit", "src_sha256")
 
 
-def condense(results: list[dict], tag: str) -> dict:
+def _by_workload(results: list[dict]) -> dict[str, list[dict]]:
+    by_workload: dict[str, list[dict]] = {}
+    for result in sorted(results, key=lambda r: r["seed"]):
+        by_workload.setdefault(result["workload"], []).append(result)
+    return by_workload
+
+
+def condense(results: list[dict], tag: str, traced: list[dict] = ()) -> dict:
     if not results:
         raise ValueError("no end-to-end result files found")
-    hosts = {json.dumps({key: r["host"].get(key) for key in HOST_KEYS}) for r in results}
+    everything = [*results, *traced]
+    hosts = {json.dumps({key: r["host"].get(key) for key in HOST_KEYS}) for r in everything}
     if len(hosts) > 1:
         raise ValueError(f"results come from {len(hosts)} different hosts or source trees")
-    by_workload: dict[str, list[dict]] = {}
-    for result in results:
-        by_workload.setdefault(result["workload"], []).append(result)
 
     workloads = {}
-    for name, runs in sorted(by_workload.items()):
-        runs.sort(key=lambda r: r["seed"])
+    for name, runs in sorted(_by_workload(results).items()):
         values = {key: [r["end_to_end"][key] for r in runs] for key in runs[0]["end_to_end"]}
         ratios = values.pop("op_vs_ref")
         workloads[name] = {
@@ -51,6 +57,15 @@ def condense(results: list[dict], tag: str) -> dict:
             **{key: statistics.median(vals) for key, vals in sorted(values.items())},
             "failed_ops": sum(r["failed"] for r in runs),
         }
+    for name, runs in sorted(_by_workload(traced).items()):
+        workloads.setdefault(name, {}).update(
+            traced_runs=len(runs),
+            traced_seeds=[r["seed"] for r in runs],
+            per_layer={
+                key: statistics.median(r["per_layer"][key] for r in runs)
+                for key in sorted(runs[0]["per_layer"])
+            },
+        )
     host = {key: results[0]["host"].get(key) for key in HOST_KEYS}
     return {"tag": tag, "host": host, "workloads": workloads}
 
@@ -61,14 +76,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "perfbench" / "out")
     args = parser.parse_args(argv)
     paths = sorted(args.src.glob("*-seed*-trace0.json"))
+    traced_paths = sorted(args.src.glob("*-seed*-trace1.json"))
     try:
-        summary = condense([json.loads(p.read_text()) for p in paths], args.tag)
+        summary = condense(
+            [json.loads(p.read_text()) for p in paths],
+            args.tag,
+            [json.loads(p.read_text()) for p in traced_paths],
+        )
     except ValueError as exc:
         print(f"bench_condense: {exc}", file=sys.stderr)
         return 2
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"{len(paths)} runs -> {out}")
+    print(f"{len(paths)} runs and {len(traced_paths)} traced runs -> {out}")
     return 0
 
 
