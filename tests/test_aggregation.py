@@ -234,7 +234,6 @@ class TestPoolTraining:
         assert np.array_equal(weights, train_on_partitions(spec, data, 3, 0)[0])
 
 
-
 class _NoPool:
     """Stands in for ProcessPoolExecutor and fails if anything builds one."""
 
