@@ -6,15 +6,17 @@ exactly r hypotheses (contiguous blocks in creation order) by their Radon
 point.  The averaging baseline trains on the same partitions and returns the
 coordinate-wise mean instead.
 
-Training runs in-process for any worker count: with more than one worker
-all partitions go through one call of the lock-step kernel
-(learners._train_block), which gives the same bits as the single worker's
-one train() call per partition.  The kernel makes one Python pass per SGD
-step however many partitions it trains, so a process pool only adds fork
-and pickling cost; on 2 CPUs it lost at every width from 121 to 1331
-partitions.  ``_pool_map``, the only place that starts processes, serves
-the Monte-Carlo shards (see experiments), in order, so their output is
-bit-identical for any worker count.  Radon levels fold in-process as well;
+Training runs in-process for any worker count through one call of the
+block kernel (learners._train_block), which gives the same bits as one
+train() call per partition.  Exact squared-loss partitions take it for
+every worker count, as stacked normal-equation solves; SGD partitions take
+it with more than one worker, and one train() call each with one worker.
+The kernel makes one Python pass per SGD step however many partitions it
+trains, so a process pool only adds fork and pickling cost; on 2 CPUs it
+lost at every width from 121 to 1331 partitions.  ``_pool_map``, the only
+place that starts processes, serves the Monte-Carlo shards (see
+experiments), in order, so their output is bit-identical for any worker
+count.  Radon levels fold in-process as well;
 ``_radon_level`` solves a whole level with one stacked call of
 radon_points' kernel, while ``radon_machine``'s tree takes one radon_point
 call per group, which gives the same bits and keeps every certificate.
@@ -143,7 +145,9 @@ def train_on_partitions(
     spec: LearnerSpec, data: Dataset, parts: int, seed: int, workers: int = 1
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Train one hypothesis per partition, in-process for any worker count;
-    the shared path of both schemes.
+    the shared path of both schemes.  Only SGD with one worker trains the
+    partitions one train() call at a time; everything else takes one call
+    of learners._train_block.
 
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
@@ -154,8 +158,8 @@ def train_on_partitions(
     blocks = partition_indices(data.n_rows, parts, seed)
     seeds = training_seeds(seed, parts)
     t1 = time.perf_counter()
-    if workers == 1:
-        # Kept only for the benchmark self-test's train() span count (ROADMAP item 1).
+    if workers == 1 and not spec.solves_exactly(data.dim):
+        # Kept for SGD only, for the benchmark self-test's train() span count (ROADMAP item 1).
         weights = np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
     else:
         weights = _train_block(spec, data, blocks, seeds)

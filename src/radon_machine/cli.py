@@ -18,7 +18,7 @@ import numpy as np
 from .aggregation import RadonConfig
 from .bounds import ComplexityParams
 from .datasets import load_dataset, synth_classification, synth_regression
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
     MC_CSV_COLUMNS,
@@ -149,6 +149,19 @@ def _parse_height(text: str) -> int | str:
         raise ConfigError(f"--h must be an integer or 'max', got {text!r}") from None
 
 
+def _picker(section: dict, name: str):
+    """pick(flag, key, default, cast): the flag when given, else ``cast`` of
+    the section's field, which must be a number (an integer for int)."""
+
+    def pick(flag, key, default, cast):
+        if flag is not None:
+            return flag
+        value = section.get(key, default)
+        return cast(require_number(value, f"{name}.{key}", integer=cast is int))
+
+    return pick
+
+
 def _cmd_benchmark(args) -> int:
     raw = _load_config_file(args.config)
     config = ExperimentConfig.from_dict(raw) if raw else ExperimentConfig()
@@ -184,16 +197,14 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_mc_bound(args) -> int:
-    section = config_section(_load_config_file(args.config), "mc")
-    r = args.r if args.r is not None else int(section.get("r", 4))
-    h = args.h if args.h is not None else int(section.get("h", 2))
-    delta_base = (
-        args.delta_base if args.delta_base is not None else float(section.get("delta_base", 0.125))
-    )
-    trials = args.trials if args.trials is not None else int(section.get("trials", 10000))
-    eps = args.eps if args.eps is not None else float(section.get("eps", 1.0))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-    workers = args.workers if args.workers is not None else int(section.get("workers", 1))
+    pick = _picker(config_section(_load_config_file(args.config), "mc"), "mc")
+    r = pick(args.r, "r", 4, int)
+    h = pick(args.h, "h", 2, int)
+    delta_base = pick(args.delta_base, "delta_base", 0.125, float)
+    trials = pick(args.trials, "trials", 10000, int)
+    eps = pick(args.eps, "eps", 1.0, float)
+    seed = pick(args.seed, "seed", 0, int)
+    workers = pick(args.workers, "workers", 1, int)
 
     result = mc_confidence(r, h, delta_base, trials, seed, workers=workers, eps=eps)
     if not result["bound_precondition_met"]:
@@ -217,11 +228,7 @@ def _cmd_mc_bound(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    section = config_section(_load_config_file(args.config), "bounds")
-
-    def pick(flag, key, default, cast):
-        return cast(flag) if flag is not None else cast(section.get(key, default))
-
+    pick = _picker(config_section(_load_config_file(args.config), "bounds"), "bounds")
     params = ComplexityParams(
         alpha_eps=pick(args.alpha_eps, "alpha_eps", 0.0, float),
         beta_eps=pick(args.beta_eps, "beta_eps", 1.0, float),
@@ -232,7 +239,7 @@ def _cmd_bounds(args) -> int:
     delta_base = pick(args.delta_base, "delta_base", 1.0 / (2 * r), float)
     h_min = pick(args.h_min, "h_min", 0, int)
     h_max = pick(args.h_max, "h_max", 4, int)
-    workers = args.workers if args.workers is not None else int(section.get("c_workers", 1))
+    workers = pick(args.workers, "c_workers", 1, int)
     if h_min > h_max:
         raise ConfigError(f"h-min {h_min} exceeds h-max {h_max}")
 
@@ -311,7 +318,7 @@ def _cmd_predict(args) -> int:
             weights=np.asarray(model["weights"], dtype=np.float64),
             fit_bias=bool(model["fit_bias"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"model file {args.model} is malformed: {exc}") from exc
 
     data_path = Path(args.data)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError family is exit code 2,
 DataError family is exit code 3.
 """
 
+import numbers
+
 
 class ConfigError(ValueError):
     """Invalid parameters, dimensions, or experiment configuration."""
@@ -23,3 +25,13 @@ class ParseError(DataError):
 
 class DegenerateSetError(DataError):
     """No usable non-zero coefficient vector exists for a point set."""
+
+
+def require_number(value, field: str, integer: bool = False):
+    """``value`` if it is a real number (an integer when ``integer``), else a
+    ConfigError naming ``field``; booleans count as neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{field} must be {what}, got {value!r}")
+    return value

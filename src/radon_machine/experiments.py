@@ -28,7 +28,7 @@ from .aggregation import (
 )
 from .bounds import ComplexityParams, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
-from .errors import ConfigError
+from .errors import ConfigError, require_number
 from .learners import Hypothesis, LearnerSpec, predict_score, train
 from .metrics import auc, rmse
 
@@ -92,12 +92,14 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
+        for name in ("cv_folds", "n_min", "seed", "workers"):
+            require_number(getattr(self, name), name, integer=True)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
-        if isinstance(self.h, str) and self.h != "max":
-            raise ConfigError(f"h must be an integer or 'max', got {self.h!r}")
-        if isinstance(self.h, int) and self.h < 0:
-            raise ConfigError("h must be >= 0")
+        if self.h != "max":
+            require_number(self.h, "h, unless 'max',", integer=True)
+            if self.h < 0:
+                raise ConfigError("h must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -147,13 +149,15 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
         return load_dataset(path, spec.get("format", "csv"))
     seed = spec.get("seed")
     seed = default_seed if seed is None else seed
-    n = int(spec.get("n", 20000))
-    d = int(spec.get("d", 8))
+    n = int(require_number(spec.get("n", 20000), "dataset.n", integer=True))
+    d = int(require_number(spec.get("d", 8), "dataset.d", integer=True))
     if source == "synthetic-classification":
-        data, _ = synth_classification(n, d, float(spec.get("noise", 0.1)), seed)
+        noise = float(require_number(spec.get("noise", 0.1), "dataset.noise"))
+        data, _ = synth_classification(n, d, noise, seed)
         return data
     if source == "synthetic-regression":
-        data, _ = synth_regression(n, d, float(spec.get("noise_sd", 0.1)), seed)
+        noise_sd = float(require_number(spec.get("noise_sd", 0.1), "dataset.noise_sd"))
+        data, _ = synth_regression(n, d, noise_sd, seed)
         return data
     raise ConfigError(f"unknown dataset source {source!r}")
 

@@ -21,9 +21,11 @@ an unbiased estimate of risk / n, so the stationary target is the summed
 objective above; the decay constant reg_lambda / n matches that per-step
 objective's regulariser.  Training is a pure function of (spec, data, seed)
 and instances share no state, so any number may run concurrently.
-``_train_block`` runs the SGD of many partitions in lock-step, in the
-caller's process, and returns the same bits as one ``train`` call per
-partition.  Diverged SGD raises ShapeError naming ``learning_rate0``.
+``_train_block`` trains many partitions in the caller's process and
+returns the same bits as one ``train`` call per partition: SGD runs in
+lock-step, and exact squared-loss solves go as one stacked solve per run of
+equal-size partitions.  Diverged SGD raises ShapeError naming
+``learning_rate0``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, require_number
 
 # Dimension limit for the exact normal-equations path of the squared loss.
 EXACT_SOLVE_MAX_DIM = 512
@@ -55,6 +57,9 @@ class LearnerSpec:
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_NAMES}")
+        require_number(self.reg_lambda, "learner.reg_lambda")
+        require_number(self.epochs, "learner.epochs", integer=True)
+        require_number(self.learning_rate0, "learner.learning_rate0")
         if self.reg_lambda < 0:
             raise ConfigError("reg_lambda must be >= 0")
         if self.epochs < 1:
@@ -64,6 +69,10 @@ class LearnerSpec:
 
     def hypothesis_dim(self, data_dim: int) -> int:
         return data_dim + 1 if self.fit_bias else data_dim
+
+    def solves_exactly(self, data_dim: int) -> bool:
+        """Squared loss at moderate dimension: normal equations, not SGD."""
+        return self.loss == "squared" and self.hypothesis_dim(data_dim) <= EXACT_SOLVE_MAX_DIM
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:
     xa = _augmented(data.x, spec.fit_bias)
     n, p = xa.shape
 
-    if spec.loss == "squared" and p <= EXACT_SOLVE_MAX_DIM:
+    if spec.solves_exactly(data.dim):
         w = _solve_normal_equations(xa, data.y, spec.reg_lambda)
         return Hypothesis(weights=w, fit_bias=spec.fit_bias)
 
@@ -173,14 +182,16 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     partition keeps its own per-epoch permutations, its own step-size and
     regulariser constants from its own row count, and stops updating after
     its own last step of each epoch when the partitions differ in size.
+    Exact squared loss with reg_lambda > 0 skips SGD and solves each run
+    of equal-size partitions as one stack.
     The augmented matrix is filled block by block from ``data.x``; every
     block must be non-empty, as partition_indices makes them.
     """
     _check_labels(spec, data)
     p = spec.hypothesis_dim(data.dim)
-    if len(blocks) == 1 or (spec.loss == "squared" and p <= EXACT_SOLVE_MAX_DIM):
-        # one partition gains nothing from lock-step; squared loss here
-        # takes train()'s exact solve
+    exact = spec.solves_exactly(data.dim)
+    if (exact and spec.reg_lambda == 0.0) or (len(blocks) == 1 and not exact):
+        # lstsq does not stack, and one SGD run gains nothing from lock-step
         return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
     sizes = np.array([len(block) for block in blocks])
@@ -189,6 +200,21 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     for block, start in zip(blocks, starts):
         xa[start : start + len(block), : data.dim] = data.x[block]
     y = data.y[np.concatenate(blocks)]
+    if exact:
+        # one stacked solve per contiguous run of equal-size partitions;
+        # partition_indices makes at most two runs
+        w = np.empty((len(blocks), p))
+        edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(blocks)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rows = slice(starts[lo], starts[hi - 1] + sizes[lo])
+            w[lo:hi] = _solve_normal_equations(
+                xa[rows].reshape(hi - lo, sizes[lo], p),
+                y[rows].reshape(hi - lo, sizes[lo]),
+                spec.reg_lambda,
+            )
+        if not np.isfinite(w).all():
+            raise ShapeError("weights contain non-finite values")  # as Hypothesis would
+        return w
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     w = np.zeros((len(blocks), p))
@@ -225,10 +251,18 @@ def _diverged(spec: LearnerSpec, where: str = "") -> ShapeError:
 
 
 def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) -> np.ndarray:
-    """Exact minimiser of the summed squared-loss objective."""
+    """Exact minimiser of the summed squared-loss objective.
+
+    ``xa`` is one (n, p) matrix or a (k, n, p) stack of equal-size
+    partitions with ``y`` of shape (n,) or (k, n).  A stack takes the same
+    BLAS syrk/gemv and LAPACK gesv calls per matrix as a single matrix, so
+    each of its rows has the bits of a separate call.  ``reg_lambda == 0``
+    takes lstsq and a single matrix only.
+    """
     if reg_lambda > 0.0:
-        gram = xa.T @ xa + reg_lambda * np.eye(xa.shape[1])
-        return np.linalg.solve(gram, xa.T @ y)
+        xt = np.swapaxes(xa, -1, -2)
+        gram = xt @ xa + reg_lambda * np.eye(xa.shape[-1])
+        return np.linalg.solve(gram, xt @ y[..., None])[..., 0]
     return np.linalg.lstsq(xa, y, rcond=None)[0]
 
 

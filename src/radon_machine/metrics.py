@@ -28,8 +28,15 @@ def auc(scores, labels) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
-    order = np.argsort(values, kind="stable")
+    """1-based ranks with tied values sharing their average rank; NaNs,
+    which equal nothing, rank last in index order."""
+    # The default sort may leave equal values in any order, which their
+    # shared rank hides; it sorts NaNs last but not in index order, so their
+    # positions are sorted to give the ranks a stable sort would.
+    order = np.argsort(values)
+    n_nan = np.count_nonzero(np.isnan(values))
+    if n_nan > 1:
+        order[-n_nan:].sort()
     sorted_vals = values[order]
     # Runs of equal sorted values: starts[k] <= i < ends[k].
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])

@@ -294,3 +294,42 @@ class TestConfigAndHeightFlags:
         cfg_path.write_text(json.dumps(payload))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"config section '{section}' must be a JSON object" in capsys.readouterr().err
+
+
+class TestWrongTypedConfigValues:
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("mc-bound", {"mc": {"r": "x"}}, "mc.r"),
+            ("benchmark", {"cv_folds": "3"}, "cv_folds"),
+            ("benchmark", {"learner": {"loss": "squared", "epochs": "x"}}, "learner.epochs"),
+            ("benchmark", {"dataset": {"n": "abc"}}, "dataset.n"),
+        ],
+    )
+    def test_wrong_type_is_config_error_naming_the_field(
+        self, tmp_path, capsys, command, payload, field
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+
+    def test_integer_is_valid_for_a_float_field(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        config = {
+            "dataset": {"source": "synthetic-regression", "n": 1000, "d": 2, "noise_sd": 1},
+            "learner": {"loss": "squared", "reg_lambda": 1},
+            "algorithms": ["base", "avg"],
+            "cv_folds": 2,
+        }
+        cfg_path.write_text(json.dumps(config))
+        assert main(["benchmark", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(json.dumps({"mc": {"delta_base": 0, "trials": 1000, "eps": 1}}))
+        assert main(["mc-bound", "--config", str(cfg_path)]) == 0
+
+    def test_non_numeric_model_weights_are_config_error(self, tmp_path, capsys):
+        data_path = _write_tiny_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"weights": "abc", "fit_bias": True}))
+        assert main(["predict", "--model", str(model_path), "--data", str(data_path)]) == 2
+        assert "is malformed" in capsys.readouterr().err

@@ -358,3 +358,13 @@ class TestAverageRanks:
     )
     def test_equals_the_loop_bit_for_bit(self, values):
         assert _average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()
+
+    def test_equals_the_loop_on_a_large_tie_heavy_shuffle(self):
+        # the default sort leaves ties and NaNs in no set order; ties share a
+        # rank, and each NaN must still take the rank a stable sort gives it
+        rng = np.random.default_rng(6)
+        values = np.round(rng.standard_normal(20000), 1)
+        values[rng.choice(values.size, 400, replace=False)] = np.nan
+        values[rng.choice(values.size, 400, replace=False)] = -0.0
+        values = rng.permutation(values)
+        assert _average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()
