@@ -3,21 +3,19 @@
 The main entry point trains r^h base hypotheses on disjoint partitions and
 folds them through h rounds of Radon points, each round replacing groups of
 exactly r hypotheses (contiguous blocks in creation order) by their Radon
-point.  The averaging baseline trains on the same partitions and returns the
-coordinate-wise mean instead.
+point; ``_check_tree`` holds its preconditions for it and experiments'
+shared dispatch.  The averaging baseline trains on the same partitions and
+returns the coordinate-wise mean instead.
 
 Training runs in-process for any worker count through one call of the
 block kernel (learners._train_block), which gives the same bits as one
-train() call per partition.  Exact squared-loss partitions take it for
-every worker count, as stacked normal-equation solves; SGD partitions take
-it with more than one worker, and one train() call each with one worker.
-The kernel makes one Python pass per SGD step however many partitions it
-trains, so a process pool only adds fork and pickling cost; on 2 CPUs it
-lost at every width from 121 to 1331 partitions.  ``_pool_map``, the only
-place that starts processes, serves the Monte-Carlo shards (see
-experiments), in order, so their output is bit-identical for any worker
-count.  Radon levels fold in-process as well;
-``_radon_level`` solves a whole level with one stacked call of
+train() call per partition; only SGD with one worker still makes one
+train() call per partition.  The kernel makes one Python pass per SGD step
+however many partitions it trains, so a process pool would only add fork
+and pickling cost.  ``_pool_map``, the only place that starts processes,
+serves the Monte-Carlo shards (see experiments), in order, so their output
+is bit-identical for any worker count.  Radon levels fold in-process as
+well; ``_radon_level`` solves a whole level with one stacked call of
 radon_points' kernel, while ``radon_machine``'s tree takes one radon_point
 call per group, which gives the same bits and keeps every certificate.
 """
@@ -33,7 +31,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError, DataError
 from .learners import Hypothesis, LearnerSpec, _train_block, train
-from .radon_points import _radon_stack, certify, radon_point
+from .radon_points import _radon_stack, certify, radon_number, radon_point
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,9 @@ class AggregationTrace:
 
     ``pin_fallbacks`` and ``max_cert_residual`` hold one entry per Radon
     level: the number of groups whose winning pin is not 0, and the largest
-    certify() residual among the level's points.
+    certify() residual among the level's points.  ``deparallelisation_factor``
+    is the number of partitions, r^h: all of them train in the calling
+    process, whatever the worker count, so none of that work is spread.
     """
 
     hypotheses_per_level: list[int] = field(default_factory=list)
@@ -197,6 +197,23 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
     return points, trace
 
 
+def _check_tree(spec: LearnerSpec, data: Dataset, cfg: RadonConfig) -> None:
+    """ConfigError unless cfg.r is the hypothesis space's Radon number;
+    DataError when h > 0 leaves the r^h partitions fewer than n_min rows each."""
+    dim = spec.hypothesis_dim(data.dim)
+    if cfg.r != radon_number(dim):
+        raise ConfigError(
+            f"Radon number {cfg.r} does not match hypothesis dimension {dim} "
+            f"(expected r = {radon_number(dim)})"
+        )
+    parts = cfg.r**cfg.h
+    if cfg.h > 0 and data.n_rows < parts * cfg.n_min:
+        raise DataError(
+            f"need at least {parts * cfg.n_min} rows for r={cfg.r}, h={cfg.h}, "
+            f"n_min={cfg.n_min}; got {data.n_rows}"
+        )
+
+
 def radon_machine(
     spec: LearnerSpec, data: Dataset, cfg: RadonConfig
 ) -> tuple[Hypothesis, AggregationTrace]:
@@ -204,15 +221,10 @@ def radon_machine(
     through h rounds of Radon points.
 
     Requires cfg.r == hypothesis dimension + 2 and enough rows for every
-    partition to hold at least cfg.n_min examples.  With h = 0 this
-    degenerates to training the base learner on the full dataset.
+    partition to hold at least cfg.n_min examples (see _check_tree).  With
+    h = 0 this degenerates to training the base learner on the full dataset.
     """
-    dim = spec.hypothesis_dim(data.dim)
-    if cfg.r != dim + 2:
-        raise ConfigError(
-            f"Radon number {cfg.r} does not match hypothesis dimension {dim} "
-            f"(expected r = {dim + 2})"
-        )
+    _check_tree(spec, data, cfg)
     if cfg.h == 0:
         t0 = time.perf_counter()
         hyp = train(spec, data, cfg.seed)
@@ -224,12 +236,6 @@ def radon_machine(
         return hyp, trace
 
     parts = cfg.r**cfg.h
-    if data.n_rows < parts * cfg.n_min:
-        raise DataError(
-            f"need at least {parts * cfg.n_min} rows for r={cfg.r}, h={cfg.h}, "
-            f"n_min={cfg.n_min}; got {data.n_rows}"
-        )
-
     weights, times = train_on_partitions(spec, data, parts, cfg.seed, workers=cfg.workers)
     t0 = time.perf_counter()
     final, trace = _aggregate_levels(weights, cfg)
@@ -237,7 +243,7 @@ def radon_machine(
     trace.n_subset = data.n_rows // parts
     trace.wall_time_partition = times["partition_s"]
     trace.wall_time_learning = times["learning_s"]
-    trace.deparallelisation_factor = max(1.0, parts / cfg.workers)
+    trace.deparallelisation_factor = float(parts)
     return Hypothesis(weights=final[0], fit_bias=spec.fit_bias), trace
 
 

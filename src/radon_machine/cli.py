@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``benchmark``, ``mc-bound``, ``bounds``, ``train``, ``predict``.
-Flags override config-file fields one-to-one.  Exit codes: 0 on success,
-2 on configuration errors, 3 on data errors.
+Each takes only those of the shared flags ``--config``, ``--seed``,
+``--workers`` and ``--out`` that it reads; flags override config-file fields
+one-to-one.  Exit codes: 0 on success, 2 on configuration errors, 3 on data
+errors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .aggregation import RadonConfig
 from .bounds import ComplexityParams
-from .datasets import load_dataset, synth_classification, synth_regression
+from .datasets import load_dataset
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
@@ -27,12 +29,14 @@ from .experiments import (
     config_section,
     fit,
     mc_confidence,
+    resolve_dataset,
     resolve_height,
     run_benchmark,
     write_csv,
     write_json,
 )
 from .learners import Hypothesis, LearnerSpec, predict_score
+from .radon_points import radon_number
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("benchmark", help="cross-validated algorithm comparison")
-    _add_common(bench)
+    _add_common(bench, "config", "seed", "workers", "out")
     bench.add_argument("--algorithms", help="comma list from base,radon,avg")
     bench.add_argument("--cv-folds", type=int, default=None)
     bench.add_argument("--h", default=None, help="tree height or 'max'")
     bench.set_defaults(handler=_cmd_benchmark)
 
     mc = sub.add_parser("mc-bound", help="Monte-Carlo validation of the failure bound")
-    _add_common(mc)
+    _add_common(mc, "config", "seed", "workers", "out")
     mc.add_argument("--r", type=int, default=None)
     mc.add_argument("--h", type=int, default=None)
     mc.add_argument("--delta-base", type=float, default=None)
@@ -72,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(handler=_cmd_mc_bound)
 
     bounds = sub.add_parser("bounds", help="closed-form bound table over heights")
-    _add_common(bounds)
+    _add_common(bounds, "config", "workers", "out")
     bounds.add_argument("--r", type=int, default=None)
     bounds.add_argument("--delta-base", type=float, default=None)
     bounds.add_argument("--alpha-eps", type=float, default=None)
@@ -84,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(handler=_cmd_bounds)
 
     tr = sub.add_parser("train", help="train a model and save it as JSON")
-    _add_common(tr)
+    _add_common(tr, "seed", "workers", "out")
     _add_dataset_args(tr)
     tr.add_argument("--algorithm", choices=("base", "radon", "avg"), default="radon")
     tr.add_argument("--h", default="max", help="tree height or 'max'")
@@ -94,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int, default=10)
     tr.add_argument("--learning-rate0", type=float, default=0.1)
     tr.add_argument("--no-bias", action="store_true")
-    tr.set_defaults(handler=_cmd_train)
+    tr.set_defaults(handler=_cmd_train, seed=0, workers=1)
 
     pr = sub.add_parser("predict", help="score a dataset with a saved model")
-    _add_common(pr)
+    _add_common(pr, "out")
     pr.add_argument("--model", required=True)
     pr.add_argument("--data", required=True)
     pr.add_argument("--format", choices=("csv", "svmlight"), default="csv")
@@ -105,18 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output path (JSON; CSV twin where applicable)")
+def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named shared flags, each defaulting to None."""
+    helps = {"config": "JSON config file", "out": "output path (JSON; CSV twin where applicable)"}
+    for name in names:
+        kind = int if name in ("seed", "workers") else str
+        sub.add_argument(f"--{name}", type=kind, default=None, help=helps.get(name))
 
 
 def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", default=None, help="dataset file path")
     sub.add_argument("--format", choices=("csv", "svmlight"), default="csv")
     sub.add_argument(
-        "--synth", choices=("classification", "regression"), default=None, help="generate data"
+        "--synth", choices=("classification", "regression"), default="classification",
+        help="generate data",
     )
     sub.add_argument("--n", type=int, default=20000)
     sub.add_argument("--d", type=int, default=8)
@@ -259,23 +265,12 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _resolve_cli_dataset(args, seed: int):
-    if args.data is not None:
-        path = Path(args.data)
-        if not path.exists():
-            raise ConfigError(f"dataset path not resolvable: {args.data}")
-        return load_dataset(path, args.format)
-    if args.synth == "regression":
-        data, _ = synth_regression(args.n, args.d, args.noise_sd, seed)
-        return data
-    data, _ = synth_classification(args.n, args.d, args.noise, seed)
-    return data
-
-
 def _cmd_train(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    workers = args.workers if args.workers is not None else 1
-    data = _resolve_cli_dataset(args, seed)
+    source = {"source": f"synthetic-{args.synth}", "n": args.n, "d": args.d,
+              "noise": args.noise, "noise_sd": args.noise_sd}
+    if args.data is not None:
+        source = {"source": "file", "path": args.data, "format": args.format}
+    data = resolve_dataset(source, args.seed)
     spec = LearnerSpec(
         loss=args.loss,
         reg_lambda=args.reg_lambda,
@@ -283,12 +278,11 @@ def _cmd_train(args) -> int:
         learning_rate0=args.learning_rate0,
         fit_bias=not args.no_bias,
     )
-    dim = spec.hypothesis_dim(data.dim)
-    r = dim + 2
+    r = radon_number(spec.hypothesis_dim(data.dim))
     h = resolve_height(
         _parse_height(args.h), data.n_rows, r, args.n_min, tree=args.algorithm != "base"
     )
-    cfg = RadonConfig(r=r, h=h, seed=seed, n_min=args.n_min, workers=workers)
+    cfg = RadonConfig(r=r, h=h, seed=args.seed, n_min=args.n_min, workers=args.workers)
     hyp, _ = fit(args.algorithm, spec, data, cfg)
 
     model = {
@@ -299,7 +293,7 @@ def _cmd_train(args) -> int:
         "algorithm": args.algorithm,
         "h": h,
         "r": r,
-        "seed": seed,
+        "seed": args.seed,
         "trained_rows": data.n_rows,
     }
     out = args.out or "model.json"

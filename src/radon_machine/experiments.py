@@ -1,5 +1,9 @@
 """Experiment orchestration: benchmarks, bound validation, bound tables.
 
+``fit`` and ``run_benchmark`` share one dispatch, ``_fit_all``: ``base``
+(and ``radon`` at h = 0) trains on all rows, while ``radon`` and ``avg``
+fold the weight matrix of one train_on_partitions call.
+
 Reports are plain dicts written as pretty JSON with sorted keys plus a flat
 CSV of per-fold rows, so re-running a configuration with the same seed
 reproduces every non-timing field exactly.  Wall-time fields all carry an
@@ -11,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +23,19 @@ import numpy as np
 from .aggregation import (
     RadonConfig,
     _aggregate_levels,
+    _check_tree,
     _pool_map,
     _radon_level,
     max_height,
     partition_indices,
-    radon_machine,
     train_on_partitions,
 )
-from .bounds import ComplexityParams, efficiency_report
+from .bounds import BoundReport, ComplexityParams, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
 from .errors import ConfigError, require_number
 from .learners import Hypothesis, LearnerSpec, predict_score, train
 from .metrics import auc, rmse
+from .radon_points import radon_number
 
 ALGORITHMS = ("base", "radon", "avg")
 
@@ -44,22 +49,8 @@ BENCHMARK_CSV_COLUMNS = [
     "total_s",
 ]
 
-BOUNDS_CSV_COLUMNS = [
-    "h",
-    "delta",
-    "log2_delta",
-    "n_base",
-    "n_radon",
-    "m_sequential",
-    "m_sequential_approx",
-    "h_star",
-    "runtime_radon_model",
-    "runtime_sequential_model",
-    "speedup_estimate",
-    "inefficiency_estimate",
-    "data_inefficiency",
-    "guarantee_valid",
-]
+# A bound report's fields, less the two every row of a table shares.
+BOUNDS_CSV_COLUMNS = [f.name for f in fields(BoundReport) if f.name not in ("r", "delta_base")]
 
 MC_CSV_COLUMNS = ["level", "empirical_bad_fraction", "theoretical_bound", "samples"]
 
@@ -102,6 +93,13 @@ class ExperimentConfig:
                 raise ConfigError("h must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not isinstance(self.shuffle_levels, bool):
+            raise ConfigError(f"shuffle_levels must be true or false, got {self.shuffle_levels!r}")
+        if self.bounds:  # alpha_eps and beta_eps are required
+            for key, default in (("alpha_eps", None), ("beta_eps", None), ("delta_base", 0.0)):
+                require_number(self.bounds.get(key, default), f"bounds.{key}")
+            for key in ("k", "kappa"):
+                require_number(self.bounds.get(key, 1), f"bounds.{key}", integer=True)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -215,8 +213,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     """
     data = resolve_dataset(config.dataset, config.seed)
     spec = config.learner
-    dim = spec.hypothesis_dim(data.dim)
-    r = dim + 2
+    r = radon_number(spec.hypothesis_dim(data.dim))
     metric_name = "auc" if data.task == "binary" else "rmse"
     plan = kfold(data, config.cv_folds, config.seed)
     tree = any(name != "base" for name in config.algorithms)
@@ -237,23 +234,13 @@ def run_benchmark(config: ExperimentConfig) -> dict:
             workers=config.workers,
             shuffle_levels=config.shuffle_levels,
         )
-        # radon at h = 0 is the base learner on the whole split; avg, and
-        # radon above it, fold one shared set of partition models.
-        shared = [
-            name for name in config.algorithms if name == "avg" or (name == "radon" and h > 0)
-        ]
-        if shared:
-            weights, times = train_on_partitions(
-                spec, train_split, r**h, config.seed, workers=config.workers
-            )
+        fits = _fit_all(config.algorithms, spec, train_split, cfg)
+        checksum = None
+        if any(_folds(name, h) for name in config.algorithms):
             checksum = partition_checksum(train_idx, r**h, config.seed)
         for name in config.algorithms:
-            if name in shared:
-                hyp, aggregation_s = _fold(name, weights, spec, cfg)
-                row = {**times, "aggregation_s": aggregation_s, "partition_checksum": checksum}
-            else:
-                hyp, row = fit(name, spec, train_split, cfg)
-                row["partition_checksum"] = None
+            hyp, times = fits[name]
+            row = {**times, "partition_checksum": checksum if _folds(name, h) else None}
             row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
             row["fold"] = fold
             row["metric"] = _evaluate(hyp, data, test_idx)
@@ -317,39 +304,38 @@ def fit(
     models the Radon machine would fold.  Returns the hypothesis and the
     wall times of its partitioning, learning and aggregation phases.
     """
-    if name == "base":
+    return _fit_all((name,), spec, data, cfg)[name]
+
+
+def _folds(name: str, h: int) -> bool:
+    """``avg``, and ``radon`` above h = 0, fold r^h partition models."""
+    return name == "avg" or (name == "radon" and h > 0)
+
+
+def _fit_all(
+    names, spec: LearnerSpec, data: Dataset, cfg: RadonConfig
+) -> dict[str, tuple[Hypothesis, dict[str, float]]]:
+    """``fit`` for each of ``names``; those that fold share one
+    train_on_partitions call and its partitioning and learning times."""
+    for name in names:
+        if name not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+    if "radon" in names:
+        _check_tree(spec, data, cfg)
+    if any(_folds(name, cfg.h) for name in names):
+        weights, times = train_on_partitions(spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers)
+    fits = {}
+    for name in names:
         t0 = time.perf_counter()
-        hyp = train(spec, data, cfg.seed)
-        learn = time.perf_counter() - t0
-        return hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
-    if name == "radon":
-        hyp, trace = radon_machine(spec, data, cfg)
-        return hyp, {
-            "partition_s": trace.wall_time_partition,
-            "learning_s": trace.wall_time_learning,
-            "aggregation_s": trace.wall_time_aggregation,
-        }
-    if name == "avg":
-        weights, times = train_on_partitions(
-            spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers
-        )
-        hyp, aggregation_s = _fold(name, weights, spec, cfg)
-        return hyp, {**times, "aggregation_s": aggregation_s}
-    raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-
-
-def _fold(
-    name: str, weights: np.ndarray, spec: LearnerSpec, cfg: RadonConfig
-) -> tuple[Hypothesis, float]:
-    """Fold a (parts, dim) matrix of partition models into one hypothesis:
-    ``radon`` through cfg.h levels of Radon points, ``avg`` by the column
-    mean.  Returns the hypothesis and the fold's wall time."""
-    t0 = time.perf_counter()
-    if name == "radon":
-        root = _aggregate_levels(weights, cfg)[0][0]
-    else:
-        root = weights.mean(axis=0)
-    return Hypothesis(weights=root, fit_bias=spec.fit_bias), time.perf_counter() - t0
+        if not _folds(name, cfg.h):
+            hyp = train(spec, data, cfg.seed)
+            learn = time.perf_counter() - t0
+            fits[name] = hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
+            continue
+        root = _aggregate_levels(weights, cfg)[0][0] if name == "radon" else weights.mean(axis=0)
+        hyp = Hypothesis(weights=root, fit_bias=spec.fit_bias)
+        fits[name] = hyp, {**times, "aggregation_s": time.perf_counter() - t0}
+    return fits
 
 
 def _mc_shard(args) -> np.ndarray:

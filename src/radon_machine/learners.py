@@ -60,6 +60,8 @@ class LearnerSpec:
         require_number(self.reg_lambda, "learner.reg_lambda")
         require_number(self.epochs, "learner.epochs", integer=True)
         require_number(self.learning_rate0, "learner.learning_rate0")
+        if not isinstance(self.fit_bias, bool):
+            raise ConfigError(f"learner.fit_bias must be true or false, got {self.fit_bias!r}")
         if self.reg_lambda < 0:
             raise ConfigError("reg_lambda must be >= 0")
         if self.epochs < 1:
@@ -190,8 +192,7 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     _check_labels(spec, data)
     p = spec.hypothesis_dim(data.dim)
     exact = spec.solves_exactly(data.dim)
-    if (exact and spec.reg_lambda == 0.0) or (len(blocks) == 1 and not exact):
-        # lstsq does not stack, and one SGD run gains nothing from lock-step
+    if exact and spec.reg_lambda == 0.0:  # lstsq does not stack
         return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
     sizes = np.array([len(block) for block in blocks])

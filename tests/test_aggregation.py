@@ -437,3 +437,26 @@ class TestTraceAccounting:
             RadonConfig(r=4, h=-1, seed=0)
         with pytest.raises(ConfigError):
             RadonConfig(r=4, h=1, seed=0, workers=0)
+
+
+class TestSingleBlockKernel:
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_one_partition_on_two_workers_equals_train(self, loss, fit_bias):
+        # workers > 1 sends even a single SGD partition through the lock-step
+        # kernel, which must give train()'s bits on that partition's rows.
+        data, _ = synth_classification(701, 3, 0.1, seed=12)
+        spec = LearnerSpec(loss=loss, reg_lambda=0.01, epochs=3, fit_bias=fit_bias)
+        weights, _ = train_on_partitions(spec, data, 1, 19, workers=2)
+        (block,) = partition_indices(data.n_rows, 1, 19)
+        expected = train(spec, data.subset(block), training_seeds(19, 1)[0]).weights
+        assert weights.shape == (1, expected.size)
+        assert weights[0].tobytes() == expected.tobytes()
+
+
+class TestDeparallelisationFactor:
+    def test_factor_is_the_partition_count_for_any_worker_count(self):
+        data, _ = synth_classification(4**3 * 20, 2, 0.1, seed=9)
+        spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
+        _, trace = radon_machine(spec, data, RadonConfig(r=4, h=3, seed=1, n_min=20, workers=8))
+        assert trace.deparallelisation_factor == 64.0

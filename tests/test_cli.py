@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radon_machine import LearnerSpec, averaging_at_end, synth_classification, train
+from radon_machine import LearnerSpec, averaging_at_end, cli, synth_classification, train
 from radon_machine.cli import main
 
 
@@ -333,3 +333,81 @@ class TestWrongTypedConfigValues:
         model_path.write_text(json.dumps({"weights": "abc", "fit_bias": True}))
         assert main(["predict", "--model", str(model_path), "--data", str(data_path)]) == 2
         assert "is malformed" in capsys.readouterr().err
+
+
+class TestBoundsCsvHeader:
+    def test_full_header(self, tmp_path):
+        out = tmp_path / "table.json"
+        assert main(["bounds", "--h-max", "1", "--out", str(out)]) == 0
+        header = (tmp_path / "table.csv").read_text().splitlines()[0]
+        assert header == (
+            "h,delta,log2_delta,n_base,n_radon,m_sequential,m_sequential_approx,h_star,"
+            "runtime_radon_model,runtime_sequential_model,speedup_estimate,"
+            "inefficiency_estimate,data_inefficiency,guarantee_valid"
+        )
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--synth", "classification", "--n", "500", "--d", "2", "--config", "c.json"],
+            ["predict", "--model", "m.json", "--data", "d.csv", "--config", "c.json"],
+            ["predict", "--model", "m.json", "--data", "d.csv", "--seed", "3"],
+            ["predict", "--model", "m.json", "--data", "d.csv", "--workers", "9"],
+            ["bounds", "--seed", "5"],
+        ],
+        ids=["train-config", "predict-config", "predict-seed", "predict-workers", "bounds-seed"],
+    )
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def _run_benchmark_config(tmp_path, monkeypatch, payload) -> int:
+    """main(["benchmark", ...]) on ``payload``; fails if any fold would run."""
+
+    def no_run(config):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    return main(["benchmark", "--config", str(cfg_path)])
+
+
+class TestBoundsSectionChecked:
+    @pytest.mark.parametrize(
+        "bounds, field",
+        [
+            ({"alpha_eps": "x", "beta_eps": 1}, "bounds.alpha_eps"),
+            ({"beta_eps": 1}, "bounds.alpha_eps"),
+            ({"alpha_eps": 1}, "bounds.beta_eps"),
+            ({"alpha_eps": 1, "beta_eps": True}, "bounds.beta_eps"),
+            ({"alpha_eps": 1, "beta_eps": 1, "k": 1.5}, "bounds.k"),
+            ({"alpha_eps": 1, "beta_eps": 1, "kappa": "2"}, "bounds.kappa"),
+            ({"alpha_eps": 1, "beta_eps": 1, "delta_base": "x"}, "bounds.delta_base"),
+        ],
+    )
+    def test_bad_field_is_config_error_before_training(
+        self, tmp_path, monkeypatch, capsys, bounds, field
+    ):
+        assert _run_benchmark_config(tmp_path, monkeypatch, {"bounds": bounds}) == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+class TestBooleanConfigFields:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"learner": {"fit_bias": "false"}}, "learner.fit_bias"),
+            ({"learner": {"fit_bias": 0}}, "learner.fit_bias"),
+            ({"shuffle_levels": "true"}, "shuffle_levels"),
+            ({"shuffle_levels": 1}, "shuffle_levels"),
+        ],
+    )
+    def test_non_boolean_is_config_error(self, tmp_path, monkeypatch, capsys, payload, field):
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        assert f"config error: {field} must be true or false" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from radon_machine import (
     ComplexityParams,
     ConfigError,
+    DataError,
     ExperimentConfig,
     LearnerSpec,
     RadonConfig,
@@ -280,3 +281,31 @@ class TestSharedPartitionTraining:
             run_benchmark(replace(config, algorithms=("base", "avg")))
         resolved = run_benchmark(replace(config, h="max"))
         assert resolved["heights_per_fold"] == [1, 1]
+
+
+class TestFitRadonChecks:
+    """fit("radon") checks the tree as radon_machine does, without calling it."""
+
+    def _errors(self, data, spec, cfg):
+        errors = []
+        for run in (lambda: radon_machine(spec, data, cfg), lambda: fit("radon", spec, data, cfg)):
+            with pytest.raises((ConfigError, DataError)) as info:
+                run()
+            errors.append((type(info.value), str(info.value)))
+        return errors
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_wrong_radon_number_is_the_same_config_error(self, h):
+        data, _ = synth_classification(500, 2, 0.1, seed=0)
+        spec = LearnerSpec(loss="squared", fit_bias=True)  # hypothesis dim 3 -> r = 5
+        machine, fitted = self._errors(data, spec, RadonConfig(r=4, h=h, seed=0))
+        assert machine == fitted
+        assert machine[0] is ConfigError and "expected r = 5" in machine[1]
+
+    def test_too_few_rows_is_the_same_data_error(self):
+        data, _ = synth_classification(400, 2, 0.1, seed=0)
+        spec = LearnerSpec(loss="squared", fit_bias=True)
+        machine, fitted = self._errors(data, spec, RadonConfig(r=5, h=2, seed=0, n_min=100))
+        assert machine == fitted
+        assert machine[0] is DataError and "need at least 2500 rows" in machine[1]
+
