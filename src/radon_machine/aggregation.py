@@ -17,11 +17,15 @@ serves the Monte-Carlo shards (see experiments), in order, so their output
 is bit-identical for any worker count.  Radon levels fold in-process as
 well; ``_radon_level`` solves a whole level with one stacked call of
 radon_points' kernel, while ``radon_machine``'s tree takes one radon_point
-call per group, which gives the same bits and keeps every certificate.
+call per group, which gives the same bits, and one stacked check of the
+level's certificates.  Partitions are read-only views of one permutation,
+cached per (rows, seed), so a CV fold draws it once to train and to
+checksum.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_number
 from .learners import Hypothesis, LearnerSpec, _train_block, train
-from .radon_points import _radon_stack, certify, radon_number, radon_point
+from .radon_points import _radon_stack, _violations, radon_number, radon_point
 
 
 @dataclass(frozen=True)
@@ -103,13 +107,14 @@ def partition_indices(n_rows: int, parts: int, seed: int) -> list[np.ndarray]:
     """Seeded uniform shuffle, then contiguous blocks of near-equal size.
 
     The first ``n_rows % parts`` blocks receive one extra row.  Every row
-    appears in exactly one block.
+    appears in exactly one block.  The blocks are read-only views of one
+    cached permutation per (n_rows, seed).
     """
     if parts < 1:
         raise ConfigError(f"parts must be >= 1, got {parts}")
     if parts > n_rows:
         raise DataError(f"cannot split {n_rows} rows into {parts} non-empty parts")
-    perm = np.random.default_rng(seed).permutation(n_rows)
+    perm = _permutation(n_rows, require_number(seed, "seed", integer=True))
     base, extra = divmod(n_rows, parts)
     blocks = []
     start = 0
@@ -118,6 +123,16 @@ def partition_indices(n_rows: int, parts: int, seed: int) -> list[np.ndarray]:
         blocks.append(perm[start : start + size])
         start += size
     return blocks
+
+
+@functools.lru_cache(maxsize=2)
+def _permutation(n_rows: int, seed: int) -> np.ndarray:
+    """The seeded shuffle of partition_indices, read-only.  A k-fold run
+    partitions at most two train-split sizes, each once to train and once
+    for its checksum, so two entries draw each permutation once."""
+    perm = np.random.default_rng(seed).permutation(n_rows)
+    perm.flags.writeable = False
+    return perm
 
 
 def partition_dataset(data: Dataset, parts: int, seed: int) -> list[Dataset]:
@@ -179,7 +194,10 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
     """Fold cfg.h levels of Radon points over the hypothesis matrix.
 
     Returns the root and a trace of the tree: the hypothesis count, pin
-    fallbacks and worst certificate residual of every level.
+    fallbacks and worst certificate residual of every level.  Each group
+    takes one radon_point call; the level's residuals come from one
+    stacked check of all its certificates, equal bit for bit to a certify()
+    call per group.
     """
     trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
     level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
@@ -188,12 +206,13 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
             points = points[level_rng.permutation(points.shape[0])]
         groups = points.reshape(-1, cfg.r, points.shape[1])
         certs = [radon_point(group) for group in groups]
+        lams = np.array([cert.lam for cert in certs])
+        lambda_sums = np.array([cert.lambda_sum for cert in certs])
         points = np.array([cert.point for cert in certs])
         trace.hypotheses_per_level.append(len(certs))
         trace.pin_fallbacks.append(sum(cert.pin != 0 for cert in certs))
-        trace.max_cert_residual.append(
-            max(certify(group, cert) for group, cert in zip(groups, certs))
-        )
+        residuals = _violations(groups, lams, lams >= 0.0, lambda_sums, points)
+        trace.max_cert_residual.append(float(residuals.max()))
     return points, trace
 
 

@@ -1,4 +1,8 @@
-"""Dataset container, file loaders, synthetic generators, and fold plans."""
+"""Dataset container, file loaders, synthetic generators, and fold plans.
+
+A Dataset checks its rows once, when it is built; ``subset`` gathers rows
+of a checked dataset with ``ndarray.take`` and does not check them again.
+"""
 
 from __future__ import annotations
 
@@ -58,8 +62,17 @@ class Dataset:
         return int(self.x.shape[1])
 
     def subset(self, indices) -> "Dataset":
+        """The rows at ``indices``, in that order.  They were checked when
+        this dataset was built, so they are gathered, not checked again."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(x=self.x[idx], y=self.y[idx], task=self.task)
+        if idx.ndim != 1:
+            raise ShapeError(f"row indices must be a vector, got shape {idx.shape}")
+        sub = object.__new__(type(self))
+        for name, rows in (("x", self.x.take(idx, axis=0)), ("y", self.y.take(idx))):
+            rows.flags.writeable = False
+            object.__setattr__(sub, name, rows)
+        object.__setattr__(sub, "task", self.task)
+        return sub
 
 
 @dataclass(frozen=True)

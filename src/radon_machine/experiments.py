@@ -30,7 +30,7 @@ from .aggregation import (
     partition_indices,
     train_on_partitions,
 )
-from .bounds import BoundReport, ComplexityParams, efficiency_report
+from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
 from .errors import ConfigError, require_number
 from .learners import Hypothesis, LearnerSpec, predict_score, train
@@ -95,11 +95,12 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if not isinstance(self.shuffle_levels, bool):
             raise ConfigError(f"shuffle_levels must be true or false, got {self.shuffle_levels!r}")
-        if self.bounds:  # alpha_eps and beta_eps are required
-            for key, default in (("alpha_eps", None), ("beta_eps", None), ("delta_base", 0.0)):
-                require_number(self.bounds.get(key, default), f"bounds.{key}")
-            for key in ("k", "kappa"):
-                require_number(self.bounds.get(key, 1), f"bounds.{key}", integer=True)
+        if self.bounds:
+            _complexity_params(self.bounds)
+            if "delta_base" in self.bounds:
+                delta_base = require_number(self.bounds["delta_base"], "bounds.delta_base")
+                if not 0 < delta_base < 1:
+                    raise ConfigError(f"bounds.delta_base must lie in (0, 1), got {delta_base}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -124,6 +125,21 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "algorithms": list(self.algorithms)}
+
+
+def _complexity_params(bounds: dict) -> ComplexityParams:
+    """The base-learner model of a config's ``bounds`` section, which
+    requires alpha_eps and beta_eps; ComplexityParams checks their ranges."""
+    for key in ("alpha_eps", "beta_eps"):
+        require_number(bounds.get(key), f"bounds.{key}")
+    for key in ("k", "kappa"):
+        require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
+    return ComplexityParams(
+        alpha_eps=_as_float(bounds["alpha_eps"]),
+        beta_eps=_as_float(bounds["beta_eps"]),
+        k=int(bounds.get("k", 1)),
+        kappa=int(bounds.get("kappa", 1)),
+    )
 
 
 def config_section(raw: dict, name: str) -> dict:
@@ -187,18 +203,22 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
     data rows land in the same partitions.
     """
     row_ids = np.asarray(row_ids, dtype=np.int64)
+    blocks = partition_indices(row_ids.size, parts, seed)
+    ordered = row_ids.take(np.concatenate(blocks))  # every block's ids, in order
     digest = hashlib.sha1()
-    for block in partition_indices(row_ids.size, parts, seed):
-        digest.update(np.ascontiguousarray(row_ids[block]).tobytes())
+    start = 0
+    for block in blocks:
+        digest.update(ordered[start : start + block.size])
         digest.update(b"|")
+        start += block.size
     return digest.hexdigest()
 
 
 def _evaluate(hyp: Hypothesis, data: Dataset, test_idx: np.ndarray) -> float:
-    scores = predict_score(hyp, data.x[test_idx])
+    scores = predict_score(hyp, data.x.take(test_idx, axis=0))
     if data.task == "binary":
-        return auc(scores, data.y[test_idx])
-    return rmse(scores, data.y[test_idx])
+        return auc(scores, data.y.take(test_idx))
+    return rmse(scores, data.y.take(test_idx))
 
 
 def run_benchmark(config: ExperimentConfig) -> dict:
@@ -272,15 +292,9 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         if radon_total > 0:
             report["speedup_base_over_radon"] = algorithms["base"]["total_s_mean"] / radon_total
     if config.bounds:
-        params = ComplexityParams(
-            alpha_eps=float(config.bounds["alpha_eps"]),
-            beta_eps=float(config.bounds["beta_eps"]),
-            k=int(config.bounds.get("k", 1)),
-            kappa=int(config.bounds.get("kappa", 1)),
-        )
         delta_base = float(config.bounds.get("delta_base", 1.0 / (2 * r)))
         report["bounds"] = efficiency_report(
-            params, r, delta_base, heights[0], config.workers
+            _complexity_params(config.bounds), r, delta_base, heights[0], config.workers
         ).to_dict()
 
     if config.out:
@@ -316,7 +330,8 @@ def _fit_all(
     names, spec: LearnerSpec, data: Dataset, cfg: RadonConfig
 ) -> dict[str, tuple[Hypothesis, dict[str, float]]]:
     """``fit`` for each of ``names``; those that fold share one
-    train_on_partitions call and its partitioning and learning times."""
+    train_on_partitions call and its partitioning and learning times, and
+    those that do not share one train() call and its time."""
     for name in names:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
@@ -325,12 +340,15 @@ def _fit_all(
     if any(_folds(name, cfg.h) for name in names):
         weights, times = train_on_partitions(spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers)
     fits = {}
+    whole = None  # base, and radon at h = 0: the same train() on all rows
     for name in names:
         t0 = time.perf_counter()
         if not _folds(name, cfg.h):
-            hyp = train(spec, data, cfg.seed)
-            learn = time.perf_counter() - t0
-            fits[name] = hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
+            if whole is None:
+                hyp = train(spec, data, cfg.seed)
+                learn = time.perf_counter() - t0
+                whole = hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
+            fits[name] = whole
             continue
         root = _aggregate_levels(weights, cfg)[0][0] if name == "radon" else weights.mean(axis=0)
         hyp = Hypothesis(weights=root, fit_bias=spec.fit_bias)

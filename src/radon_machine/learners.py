@@ -120,8 +120,7 @@ def loss_derivatives(loss: str, scores, labels) -> np.ndarray:
         m = y * z
         # -y * sigmoid(-m), with the stable branch picked per sign of m.
         em = np.exp(-np.abs(m))
-        sig_neg_m = np.where(m >= 0.0, em / (1.0 + em), 1.0 / (1.0 + em))
-        return -y * sig_neg_m
+        return -y * (np.where(m >= 0.0, em, 1.0) / (1.0 + em))
     if loss == "hinge":
         return np.where(y * z < 1.0, -y, 0.0)
     if loss == "squared":
@@ -199,8 +198,8 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     starts = np.cumsum(sizes) - sizes
     xa = np.ones((int(sizes.sum()), p))  # the bias column, if any, stays 1
     for block, start in zip(blocks, starts):
-        xa[start : start + len(block), : data.dim] = data.x[block]
-    y = data.y[np.concatenate(blocks)]
+        xa[start : start + len(block), : data.dim] = data.x.take(block, axis=0)
+    y = data.y.take(np.concatenate(blocks))
     if exact:
         # one stacked solve per contiguous run of equal-size partitions;
         # partition_indices makes at most two runs
@@ -233,9 +232,9 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
         for s in range(rows.shape[0]):
             live = slice(None) if s < all_live else np.flatnonzero(sizes > s)
             idx = rows[s, live]
-            xt = xa[idx]
+            xt = xa.take(idx, axis=0)
             wl = w[live]
-            g = loss_derivatives(spec.loss, (xt * wl).sum(axis=1), y[idx])
+            g = loss_derivatives(spec.loss, (xt * wl).sum(axis=1), y.take(idx))
             eta = lr0 / (1.0 + decay[live] * (t0[live] + s))
             wl -= eta[:, None] * (g[:, None] * xt + reg_step[live, None] * wl)
             if s >= all_live:

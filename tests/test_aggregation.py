@@ -13,12 +13,14 @@ from radon_machine import (
     ShapeError,
     aggregation,
     averaging_at_end,
+    certify,
     max_height,
     mc_confidence,
     partition_dataset,
     partition_indices,
     radon_machine,
     radon_point,
+    radon_points,
     synth_classification,
     synth_regression,
     train,
@@ -460,3 +462,89 @@ class TestDeparallelisationFactor:
         spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
         _, trace = radon_machine(spec, data, RadonConfig(r=4, h=3, seed=1, n_min=20, workers=8))
         assert trace.deparallelisation_factor == 64.0
+
+
+class TestCachedPermutation:
+    def test_blocks_are_read_only(self):
+        blocks = partition_indices(100, 3, seed=4)
+        with pytest.raises(ValueError):
+            blocks[0][0] = 7
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None])
+    def test_non_integer_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            partition_indices(100, 3, seed)
+
+    def test_numpy_integer_seed_gives_the_same_blocks(self):
+        for a, b in zip(partition_indices(100, 3, np.int64(8)), partition_indices(100, 3, 8)):
+            assert np.array_equal(a, b)
+
+    def test_each_seed_of_one_row_count_draws_its_own_permutation(self):
+        aggregation._permutation.cache_clear()
+        for seed in (1, 2, 1, 3, 2, 1):
+            blocks = partition_indices(500, 7, seed)
+            expected = np.random.default_rng(seed).permutation(500)
+            assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def _tree_points(r: int, h: int, seed: int, shuffle: bool, fallback: bool) -> np.ndarray:
+    """r^h random points in r - 2 dimensions, laid out so that the first
+    level's groups (after its shuffle, when ``shuffle``) are known.  With
+    ``fallback`` every other group is scaled up 1000 times and its points
+    after the first lie on the hyperplane last = 2 * first coordinate, which
+    makes the pin-0 matrix exactly singular, so those groups take another
+    pin and hold the level's largest residuals."""
+    rng = np.random.default_rng(seed)
+    groups = rng.standard_normal((r ** (h - 1), r, r - 2))
+    if fallback:
+        groups[::2] *= 1000.0
+        groups[::2, 1:, -1] = 2.0 * groups[::2, 1:, 0]
+    points = groups.reshape(-1, r - 2)
+    if shuffle:  # place the rows where the first level's permutation takes them from
+        level_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
+        placed = np.empty_like(points)
+        placed[level_rng.permutation(len(points))] = points
+        points = placed
+    return points
+
+
+def _reference_levels(points: np.ndarray, cfg: RadonConfig):
+    """_aggregate_levels with one radon_point and one certify() per group."""
+    level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
+    residuals, fallbacks = [], []
+    for _ in range(cfg.h):
+        if cfg.shuffle_levels:
+            points = points[level_rng.permutation(points.shape[0])]
+        groups = points.reshape(-1, cfg.r, points.shape[1])
+        certs = [radon_point(group) for group in groups]
+        residuals.append(max(certify(group, cert) for group, cert in zip(groups, certs)))
+        fallbacks.append(sum(cert.pin != 0 for cert in certs))
+        points = np.array([cert.point for cert in certs])
+    return points, residuals, fallbacks
+
+
+class TestLevelCertificates:
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
+    def test_residuals_equal_a_certify_loop_bit_for_bit(self, r, h, fallback, shuffle):
+        seed = 31 + r
+        points = _tree_points(r, h, seed, shuffle, fallback)
+        cfg = RadonConfig(r=r, h=h, seed=seed, shuffle_levels=shuffle)
+        root, trace = _aggregate_levels(points, cfg)
+        expected_root, residuals, fallbacks = _reference_levels(points, cfg)
+        assert root.tobytes() == expected_root.tobytes()
+        assert trace.max_cert_residual == residuals
+        assert trace.pin_fallbacks == fallbacks
+        assert (fallbacks[0] > 0) == fallback
+        assert all(residual > 0.0 for residual in residuals)
+
+    def test_radon_machine_calls_no_certify(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify() was called")
+
+        monkeypatch.setattr(aggregation, "certify", refuse, raising=False)
+        monkeypatch.setattr(radon_points, "certify", refuse)
+        data, _ = synth_classification(2000, 2, 0.1, seed=3)
+        _, trace = radon_machine(RIDGE, data, RadonConfig(r=4, h=2, seed=5))
+        assert len(trace.max_cert_residual) == 2

@@ -411,3 +411,21 @@ class TestBooleanConfigFields:
     def test_non_boolean_is_config_error(self, tmp_path, monkeypatch, capsys, payload, field):
         assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
         assert f"config error: {field} must be true or false" in capsys.readouterr().err
+
+
+class TestBoundsRangeCheckedBeforeTraining:
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"alpha_eps": -1, "beta_eps": 1}, "alpha_eps must be finite and >= 0"),
+            (
+                {"alpha_eps": 1, "beta_eps": 1, "delta_base": 3},
+                "bounds.delta_base must lie in (0, 1), got 3",
+            ),
+        ],
+    )
+    def test_out_of_range_is_config_error_before_training(
+        self, tmp_path, monkeypatch, capsys, bounds, message
+    ):
+        assert _run_benchmark_config(tmp_path, monkeypatch, {"bounds": bounds}) == 2
+        assert message in capsys.readouterr().err

@@ -11,6 +11,7 @@ from radon_machine import (
     Dataset,
     LearnerSpec,
     ParseError,
+    ShapeError,
     auc,
     kfold,
     load_dataset,
@@ -368,3 +369,29 @@ class TestAverageRanks:
         values[rng.choice(values.size, 400, replace=False)] = -0.0
         values = rng.permutation(values)
         assert _average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()
+
+
+class TestSubset:
+    @pytest.mark.parametrize("regression", [False, True])
+    def test_equals_a_dataset_built_from_the_rows(self, regression):
+        make = synth_regression if regression else synth_classification
+        data, _ = make(50, 3, 0.1, seed=2)
+        idx = [4, 0, 49, 4, 17]
+        sub = data.subset(idx)
+        expected = Dataset(x=data.x[idx], y=data.y[idx], task=data.task)
+        assert sub.task == expected.task
+        assert sub.x.shape == expected.x.shape and sub.y.shape == expected.y.shape
+        assert sub.x.tobytes() == expected.x.tobytes()
+        assert sub.y.tobytes() == expected.y.tobytes()
+        for rows in (sub.x, sub.y):
+            assert rows.flags.c_contiguous
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_empty_and_bad_indices(self):
+        data, _ = synth_classification(10, 2, 0.0, seed=1)
+        assert data.subset([]).x.shape == (0, 2)
+        with pytest.raises(ShapeError):
+            data.subset([[0, 1]])
+        with pytest.raises(IndexError):
+            data.subset([10])

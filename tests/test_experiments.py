@@ -1,5 +1,6 @@
 """Benchmark orchestration, Monte-Carlo validation, and bound tables."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from radon_machine import (
     synth_classification,
     train,
 )
-from radon_machine import experiments, kfold
+from radon_machine import aggregation, experiments, kfold
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
 
 SMALL_BENCH = dict(
@@ -309,3 +310,38 @@ class TestFitRadonChecks:
         assert machine == fitted
         assert machine[0] is DataError and "need at least 2500 rows" in machine[1]
 
+
+
+class TestFoldWorkDoneOnce:
+    def test_three_equal_folds_draw_one_permutation(self):
+        aggregation._permutation.cache_clear()
+        report = run_benchmark(ExperimentConfig(**SMALL_BENCH))
+        assert all(h > 0 for h in report["heights_per_fold"])
+        assert aggregation._permutation.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n, parts", [(1003, 40), (1000, 40), (45, 1), (7, 7)])
+    def test_checksum_equals_the_per_block_digest(self, n, parts):
+        row_ids = np.random.default_rng(n).permutation(3 * n)[:n]
+        digest = hashlib.sha1()
+        for block in aggregation.partition_indices(n, parts, 5):
+            digest.update(row_ids[block].astype(np.int64).tobytes())
+            digest.update(b"|")
+        assert experiments.partition_checksum(row_ids, parts, 5) == digest.hexdigest()
+
+    def test_base_and_radon_at_height_zero_train_once(self, monkeypatch):
+        calls = []
+        original = experiments.train
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", counting)
+        config = ExperimentConfig(
+            **{**SMALL_BENCH, "learner": LearnerSpec(loss="hinge", epochs=2), "h": 0}
+        )
+        report = run_benchmark(config)
+        assert len(calls) == config.cv_folds
+        base = report["algorithms"]["base"]["per_fold"]
+        assert report["algorithms"]["radon"]["per_fold"] == base
+        assert all(row["partition_checksum"] is None for row in base)

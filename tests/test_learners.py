@@ -245,3 +245,24 @@ class TestOptimizerGuarantees:
                 analytic = loss_derivatives(loss, z, y_val)
                 assert float(analytic) == pytest.approx(float(numeric), rel=1e-5, abs=1e-8)
             checked += 1
+
+
+def _two_divisions_logistic_derivative(z, y):
+    """The logistic derivative as once written, with 1 + em computed twice."""
+    m = y * z
+    em = np.exp(-np.abs(m))
+    return -y * np.where(m >= 0.0, em / (1.0 + em), 1.0 / (1.0 + em))
+
+
+class TestLogisticDerivativeBits:
+    SCORES = [0.0, -0.0, 1e-300, -1e-300, 0.3, -2.5, 36.0, -37.5, 700.0, -700.0, 800.0, -800.0]
+
+    def test_arrays_equal_the_two_division_form(self):
+        z, y = (np.array(v) for v in zip(*product(self.SCORES, [-1.0, 1.0])))
+        expected = _two_divisions_logistic_derivative(z, y)
+        assert loss_derivatives("logistic", z, y).tobytes() == expected.tobytes()
+
+    def test_scalars_equal_the_two_division_form(self):
+        for z, y in product(self.SCORES, [-1.0, 1.0]):
+            expected = _two_divisions_logistic_derivative(np.float64(z), np.float64(y))
+            assert loss_derivatives("logistic", z, y).tobytes() == expected.tobytes()
