@@ -16,11 +16,15 @@ and pickling cost.  ``_pool_map``, the only place that starts processes,
 serves the Monte-Carlo shards (see experiments), in order, so their output
 is bit-identical for any worker count.  Radon levels fold in-process as
 well; ``_radon_level`` solves a whole level with one stacked call of
-radon_points' kernel, while ``radon_machine``'s tree takes one radon_point
-call per group, which gives the same bits, and one stacked check of the
-level's certificates.  Partitions are read-only views of one permutation,
-cached per (rows, seed), so a CV fold draws it once to train and to
-checksum.
+radon_points' kernel, and ``_fold_tree`` folds a tree with one such call
+per level: experiments' CV folds and ``fit`` take that path.  Only
+``radon_machine``'s tree (``_aggregate_levels``) still takes one
+radon_point call per group, which gives the same bits, because it reports
+each level's pin fallbacks and certificate residuals and the benchmark
+self-test counts its radon_point spans.  Both draw each level's shuffle
+from ``_level_orders``.  Partitions are read-only views of one
+permutation, cached per (rows, seed), so a CV fold draws it once to train
+and to checksum.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigError, DataError, require_number
+from .errors import ConfigError, DataError, require_seed
 from .learners import Hypothesis, LearnerSpec, _train_block, train
 from .radon_points import _radon_stack, _violations, radon_number, radon_point
 
@@ -56,6 +60,7 @@ class RadonConfig:
     shuffle_levels: bool = False
 
     def __post_init__(self):
+        require_seed(self.seed)
         if self.r < 3:
             raise ConfigError(f"Radon number must be >= 3, got {self.r}")
         if self.h < 0:
@@ -114,7 +119,7 @@ def partition_indices(n_rows: int, parts: int, seed: int) -> list[np.ndarray]:
         raise ConfigError(f"parts must be >= 1, got {parts}")
     if parts > n_rows:
         raise DataError(f"cannot split {n_rows} rows into {parts} non-empty parts")
-    perm = _permutation(n_rows, require_number(seed, "seed", integer=True))
+    perm = _permutation(n_rows, require_seed(seed))
     base, extra = divmod(n_rows, parts)
     blocks = []
     start = 0
@@ -190,6 +195,26 @@ def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
     return point.reshape(*trees, rows // r, dim)
 
 
+def _level_orders(rows: int, cfg: RadonConfig):
+    """Yield, for each of cfg.h levels, the permutation its shuffle applies
+    to the level's rows (None unless cfg.shuffle_levels), all drawn from
+    one generator seeded by (cfg.seed, 0x5EED)."""
+    level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
+    for _ in range(cfg.h):
+        yield level_rng.permutation(rows) if cfg.shuffle_levels else None
+        rows //= cfg.r
+
+
+def _fold_tree(points: np.ndarray, cfg: RadonConfig) -> np.ndarray:
+    """The (1, dim) root of _aggregate_levels' tree, with the same bits, from
+    one stacked _radon_level call per level and no trace."""
+    for order in _level_orders(points.shape[0], cfg):
+        if order is not None:
+            points = points[order]
+        points = _radon_level(points, cfg.r)
+    return points
+
+
 def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
     """Fold cfg.h levels of Radon points over the hypothesis matrix.
 
@@ -197,13 +222,15 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
     fallbacks and worst certificate residual of every level.  Each group
     takes one radon_point call; the level's residuals come from one
     stacked check of all its certificates, equal bit for bit to a certify()
-    call per group.
+    call per group.  Only radon_machine folds this way: it reports each
+    level's pins and residuals, and the benchmark self-test counts its
+    radon_point spans (ROADMAP item 1); every other tree folds through
+    _fold_tree.
     """
     trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
-    level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
-    for _ in range(cfg.h):
-        if cfg.shuffle_levels:
-            points = points[level_rng.permutation(points.shape[0])]
+    for order in _level_orders(points.shape[0], cfg):
+        if order is not None:
+            points = points[order]
         groups = points.reshape(-1, cfg.r, points.shape[1])
         certs = [radon_point(group) for group in groups]
         lams = np.array([cert.lam for cert in certs])

@@ -46,11 +46,13 @@ class ComplexityParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_eps) and self.alpha_eps >= 0):
-            raise ConfigError("alpha_eps must be finite and >= 0")
+            raise ConfigError(f"alpha_eps must be finite and >= 0, got {self.alpha_eps}")
         if not (math.isfinite(self.beta_eps) and self.beta_eps >= 0):
-            raise ConfigError("beta_eps must be finite and >= 0")
-        if self.k < 1 or self.kappa < 1:
-            raise ConfigError("k and kappa must be >= 1")
+            raise ConfigError(f"beta_eps must be finite and >= 0, got {self.beta_eps}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.kappa < 1:
+            raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
 
     def base_sample_size(self, delta: float) -> float:
         if not 0.0 < delta < 1.0:

@@ -17,9 +17,10 @@ from .errors import ConfigError, DataError, ParseError, ShapeError
 
 TASKS = ("binary", "regression")
 
-# Cap on rows x largest index of an svmlight file, the cells of its dense
-# matrix (10^8 float64 cells are 800 MB).
-SVMLIGHT_MAX_CELLS = 100_000_000
+# Cap on the cells of a dense feature matrix built from an svmlight file
+# (rows x largest index) or by a synthetic generator (n x d); 10^8 float64
+# cells are 800 MB.
+MAX_DENSE_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,10 @@ def _load_svmlight(path: Path) -> Dataset:
             entries.append((idx, val))
             max_index = max(max_index, idx)
         sparse_rows.append(entries)
-        if len(sparse_rows) * max_index > SVMLIGHT_MAX_CELLS:
+        if len(sparse_rows) * max_index > MAX_DENSE_CELLS:
             raise ParseError(
                 f"{path}: line {lineno}: {len(sparse_rows)} rows x {max_index} columns "
-                f"exceed the cap of {SVMLIGHT_MAX_CELLS} dense cells"
+                f"exceed the cap of {MAX_DENSE_CELLS} dense cells"
             )
     if not sparse_rows or max_index == 0:
         raise ParseError(f"{path}: no data rows")
@@ -214,6 +215,17 @@ def _load_svmlight(path: Path) -> Dataset:
     return Dataset(x=x, y=y, task=task)
 
 
+def _check_synth_shape(n: int, d: int) -> None:
+    """ConfigError unless a synthetic n x d matrix is non-empty and within
+    MAX_DENSE_CELLS; checked before anything is allocated."""
+    if n < 1 or d < 1:
+        raise ConfigError("need n >= 1 and d >= 1")
+    if n * d > MAX_DENSE_CELLS:
+        raise ConfigError(
+            f"{n} rows x {d} columns exceed the cap of {MAX_DENSE_CELLS} dense cells"
+        )
+
+
 def synth_classification(
     n: int, d: int, margin_noise: float, seed: int
 ) -> tuple[Dataset, np.ndarray]:
@@ -223,8 +235,7 @@ def synth_classification(
     vector, and each label is flipped with probability ``margin_noise``.
     Returns the dataset and the true weight vector for oracle checks.
     """
-    if n < 1 or d < 1:
-        raise ConfigError("need n >= 1 and d >= 1")
+    _check_synth_shape(n, d)
     if not 0.0 <= margin_noise <= 0.5:
         raise ConfigError("margin_noise must lie in [0, 0.5]")
     rng = np.random.default_rng(seed)
@@ -239,8 +250,7 @@ def synth_classification(
 
 def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> tuple[Dataset, np.ndarray]:
     """Linear responses with Gaussian noise of standard deviation noise_sd."""
-    if n < 1 or d < 1:
-        raise ConfigError("need n >= 1 and d >= 1")
+    _check_synth_shape(n, d)
     if noise_sd < 0.0:
         raise ConfigError("noise_sd must be >= 0")
     rng = np.random.default_rng(seed)

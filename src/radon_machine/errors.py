@@ -35,3 +35,12 @@ def require_number(value, field: str, integer: bool = False):
         what = "an integer" if integer else "a number"
         raise ConfigError(f"{field} must be {what}, got {value!r}")
     return value
+
+
+def require_seed(value, field: str = "seed") -> int:
+    """``value`` if it is a non-negative integer, as NumPy's seeding takes,
+    else a ConfigError naming ``field``."""
+    require_number(value, field, integer=True)
+    if value < 0:
+        raise ConfigError(f"{field} must be >= 0, got {value}")
+    return value

@@ -2,7 +2,10 @@
 
 ``fit`` and ``run_benchmark`` share one dispatch, ``_fit_all``: ``base``
 (and ``radon`` at h = 0) trains on all rows, while ``radon`` and ``avg``
-fold the weight matrix of one train_on_partitions call.
+fold the weight matrix of one train_on_partitions call.  ``radon`` folds
+it with one stacked Radon solve per level (aggregation._fold_tree), so
+every CV fold and the CLI's ``train`` make no radon_point call per group;
+only radon_machine does, for its per-level trace.
 
 Reports are plain dicts written as pretty JSON with sorted keys plus a flat
 CSV of per-fold rows, so re-running a configuration with the same seed
@@ -22,8 +25,8 @@ import numpy as np
 
 from .aggregation import (
     RadonConfig,
-    _aggregate_levels,
     _check_tree,
+    _fold_tree,
     _pool_map,
     _radon_level,
     max_height,
@@ -32,7 +35,7 @@ from .aggregation import (
 )
 from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
-from .errors import ConfigError, require_number
+from .errors import ConfigError, require_number, require_seed
 from .learners import Hypothesis, LearnerSpec, predict_score, train
 from .metrics import auc, rmse
 from .radon_points import radon_number
@@ -83,8 +86,11 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
-        for name in ("cv_folds", "n_min", "seed", "workers"):
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"algorithms must be distinct, got {list(self.algorithms)}")
+        for name in ("cv_folds", "n_min", "workers"):
             require_number(getattr(self, name), name, integer=True)
+        require_seed(self.seed)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.h != "max":
@@ -120,6 +126,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown learner fields: {sorted(bad)}")
             raw["learner"] = LearnerSpec(**raw["learner"])
         if "algorithms" in raw:
+            if not isinstance(raw["algorithms"], list):
+                raise ConfigError(
+                    f"algorithms must be a JSON list of names, got {raw['algorithms']!r}"
+                )
             raw["algorithms"] = tuple(raw["algorithms"])
         return cls(**raw)
 
@@ -129,17 +139,21 @@ class ExperimentConfig:
 
 def _complexity_params(bounds: dict) -> ComplexityParams:
     """The base-learner model of a config's ``bounds`` section, which
-    requires alpha_eps and beta_eps; ComplexityParams checks their ranges."""
+    requires alpha_eps and beta_eps; ComplexityParams checks their ranges,
+    and its errors, which start with the field's name, gain the section's."""
     for key in ("alpha_eps", "beta_eps"):
         require_number(bounds.get(key), f"bounds.{key}")
     for key in ("k", "kappa"):
         require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
-    return ComplexityParams(
-        alpha_eps=_as_float(bounds["alpha_eps"]),
-        beta_eps=_as_float(bounds["beta_eps"]),
-        k=int(bounds.get("k", 1)),
-        kappa=int(bounds.get("kappa", 1)),
-    )
+    try:
+        return ComplexityParams(
+            alpha_eps=_as_float(bounds["alpha_eps"]),
+            beta_eps=_as_float(bounds["beta_eps"]),
+            k=int(bounds.get("k", 1)),
+            kappa=int(bounds.get("kappa", 1)),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"bounds.{exc}") from None
 
 
 def config_section(raw: dict, name: str) -> dict:
@@ -162,7 +176,7 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
             raise ConfigError(f"dataset path not resolvable: {path!r}")
         return load_dataset(path, spec.get("format", "csv"))
     seed = spec.get("seed")
-    seed = default_seed if seed is None else seed
+    seed = require_seed(default_seed) if seed is None else require_seed(seed, "dataset.seed")
     n = int(require_number(spec.get("n", 20000), "dataset.n", integer=True))
     d = int(require_number(spec.get("d", 8), "dataset.d", integer=True))
     if source == "synthetic-classification":
@@ -331,7 +345,9 @@ def _fit_all(
 ) -> dict[str, tuple[Hypothesis, dict[str, float]]]:
     """``fit`` for each of ``names``; those that fold share one
     train_on_partitions call and its partitioning and learning times, and
-    those that do not share one train() call and its time."""
+    those that do not share one train() call and its time.  ``radon``
+    takes its root from _fold_tree, one stacked solve per level, with
+    radon_machine's bits but without its per-group trace."""
     for name in names:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
@@ -350,7 +366,7 @@ def _fit_all(
                 whole = hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
             fits[name] = whole
             continue
-        root = _aggregate_levels(weights, cfg)[0][0] if name == "radon" else weights.mean(axis=0)
+        root = _fold_tree(weights, cfg)[0] if name == "radon" else weights.mean(axis=0)
         hyp = Hypothesis(weights=root, fit_bias=spec.fit_bias)
         fits[name] = hyp, {**times, "aggregation_s": time.perf_counter() - t0}
     return fits
@@ -414,6 +430,7 @@ def mc_confidence(
         raise ConfigError(f"need at least 1000 trials, got {trials}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    require_seed(seed)
     if trials * r**h > MC_MAX_LEAF_DRAWS:
         raise ConfigError(
             f"trials * r^h = {trials * r**h} exceeds the cap of {MC_MAX_LEAF_DRAWS} leaf draws"

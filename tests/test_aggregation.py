@@ -27,7 +27,7 @@ from radon_machine import (
     train_on_partitions,
     training_seeds,
 )
-from radon_machine.aggregation import _aggregate_levels, _radon_level
+from radon_machine.aggregation import _aggregate_levels, _fold_tree, _radon_level
 from radon_machine.learners import EXACT_SOLVE_MAX_DIM, _solve_normal_equations
 
 RIDGE = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=False)
@@ -538,6 +538,16 @@ class TestLevelCertificates:
         assert trace.pin_fallbacks == fallbacks
         assert (fallbacks[0] > 0) == fallback
         assert all(residual > 0.0 for residual in residuals)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
+    def test_stacked_fold_equals_the_traced_root(self, r, h, fallback, shuffle):
+        # the stacked fold of fit() and CV folds against radon_machine's tree
+        seed = 31 + r
+        points = _tree_points(r, h, seed, shuffle, fallback)
+        cfg = RadonConfig(r=r, h=h, seed=seed, shuffle_levels=shuffle)
+        assert _fold_tree(points, cfg).tobytes() == _aggregate_levels(points, cfg)[0].tobytes()
 
     def test_radon_machine_calls_no_certify(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -429,3 +429,59 @@ class TestBoundsRangeCheckedBeforeTraining:
     ):
         assert _run_benchmark_config(tmp_path, monkeypatch, {"bounds": bounds}) == 2
         assert message in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    def test_train_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        args = ["train", "--n", "500", "--d", "2", "--seed", "-1", "--out", str(out)]
+        assert main(args) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_seed_on_a_data_file_is_config_error(self, tmp_path, capsys):
+        args = ["train", "--data", str(_write_tiny_csv(tmp_path)), "--algorithm", "base",
+                "--seed", "-1", "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_mc_bound_seed_is_config_error(self, capsys):
+        assert main(["mc-bound", "--trials", "1000", "--seed", "-1"]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_benchmark_config_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        assert _run_benchmark_config(tmp_path, monkeypatch, {"seed": -1}) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+class TestAlgorithmsConfig:
+    def test_string_is_config_error(self, tmp_path, monkeypatch, capsys):
+        assert _run_benchmark_config(tmp_path, monkeypatch, {"algorithms": "radon"}) == 2
+        assert "config error: algorithms must be a JSON list of names, got 'radon'" in (
+            capsys.readouterr().err
+        )
+
+    def test_repeated_name_is_config_error(self, tmp_path, monkeypatch, capsys):
+        payload = {"algorithms": ["radon", "radon", "base"]}
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        assert "config error: algorithms must be distinct" in capsys.readouterr().err
+
+    def test_repeated_name_in_the_flag_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_benchmark", lambda config: pytest.fail("the benchmark ran"))
+        assert main(["benchmark", "--algorithms", "avg,base,avg"]) == 2
+        assert "config error: algorithms must be distinct" in capsys.readouterr().err
+
+
+class TestBoundsRangeError:
+    def test_out_of_range_value_names_its_section(self, tmp_path, monkeypatch, capsys):
+        payload = {"bounds": {"alpha_eps": -1, "beta_eps": 1}}
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        assert "config error: bounds.alpha_eps must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestSyntheticCellCap:
+    def test_huge_synthetic_train_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train", "--n", str(10**12), "--d", "8", "--out", str(out)]) == 2
+        assert "exceed the cap of 100000000 dense cells" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Dataset loading, synthetic generators, folds, and metric oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from radon_machine import (
     synth_regression,
     train,
 )
-from radon_machine.datasets import _infer_binary, _loadtxt_csv, _parse_csv_lines
+from radon_machine.datasets import MAX_DENSE_CELLS, _infer_binary, _loadtxt_csv, _parse_csv_lines
 from radon_machine.metrics import _average_ranks
 
 
@@ -150,6 +151,18 @@ class TestSyntheticGenerators:
             synth_classification(10, 3, 0.7, seed=0)
         with pytest.raises(ConfigError):
             synth_regression(10, 3, -0.1, seed=0)
+
+    @pytest.mark.parametrize("n, d", [(10**12, 8), (MAX_DENSE_CELLS + 1, 1), (2, MAX_DENSE_CELLS)])
+    @pytest.mark.parametrize("make", [synth_classification, synth_regression])
+    def test_cell_cap_trips_before_allocating(self, make, n, d):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="dense cells"):
+                make(n, d, 0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestKfold:

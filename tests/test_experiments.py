@@ -345,3 +345,76 @@ class TestFoldWorkDoneOnce:
         base = report["algorithms"]["base"]["per_fold"]
         assert report["algorithms"]["radon"]["per_fold"] == base
         assert all(row["partition_checksum"] is None for row in base)
+
+
+class TestFoldPathsAgree:
+    """fit("radon") folds one stack per level; radon_machine one radon_point
+    per group.  Both must give the same bits."""
+
+    @pytest.mark.parametrize("shuffle_levels", [False, True])
+    @pytest.mark.parametrize(
+        "loss, d, fit_bias",
+        [("squared", 8, True), ("logistic", 7, False), ("hinge", 2, True)],
+    )
+    def test_fit_radon_equals_radon_machine(self, monkeypatch, loss, d, fit_bias, shuffle_levels):
+        # d = 8 with a bias gives r = 11, as in cv-squared: from r = 9 on,
+        # numpy's pairwise summation differs from a sequential sum
+        spec = LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
+        r = spec.hypothesis_dim(d) + 2
+        data, _ = synth_classification(r**2 * 20, d, 0.1, seed=d)
+        cfg = RadonConfig(r=r, h=2, seed=5, n_min=20, shuffle_levels=shuffle_levels)
+        expected = radon_machine(spec, data, cfg)[0].weights
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("radon_point() was called")
+
+        monkeypatch.setattr(aggregation, "radon_point", refuse)
+        hyp, _ = fit("radon", spec, data, cfg)
+        assert hyp.weights.tobytes() == expected.tobytes()
+
+
+class TestSeedRange:
+    def test_negative_experiment_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(**{**SMALL_BENCH, "seed": -1})
+
+    def test_negative_dataset_seed_is_config_error(self):
+        dataset = {**SMALL_BENCH["dataset"], "seed": -2}
+        with pytest.raises(ConfigError, match="dataset.seed must be >= 0, got -2"):
+            run_benchmark(ExperimentConfig(**{**SMALL_BENCH, "dataset": dataset}))
+
+    def test_negative_tree_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            RadonConfig(r=4, h=1, seed=-3)
+
+    def test_negative_monte_carlo_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            mc_confidence(4, 2, 0.1, 1000, seed=-1)
+
+
+class TestAlgorithmsList:
+    @pytest.mark.parametrize("algorithms", ["radon", None, {"radon": 1}])
+    def test_not_a_list_is_config_error(self, algorithms):
+        with pytest.raises(ConfigError, match="algorithms must be a JSON list of names"):
+            ExperimentConfig.from_dict({"algorithms": algorithms})
+
+    @pytest.mark.parametrize("algorithms", [("radon", "radon", "base"), ("avg", "base", "avg")])
+    def test_repeated_name_is_config_error(self, algorithms):
+        with pytest.raises(ConfigError, match="algorithms must be distinct"):
+            ExperimentConfig(**{**SMALL_BENCH, "algorithms": algorithms})
+
+
+class TestBoundsRangeNamesSection:
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"alpha_eps": -1, "beta_eps": 1}, "bounds.alpha_eps must be finite and >= 0"),
+            ({"alpha_eps": 1, "beta_eps": -2}, "bounds.beta_eps must be finite and >= 0"),
+            ({"alpha_eps": 1, "beta_eps": 1, "k": 0}, "bounds.k must be >= 1, got 0"),
+            ({"alpha_eps": 1, "beta_eps": 1, "kappa": 0}, "bounds.kappa must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_value_names_its_section(self, bounds, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**{**SMALL_BENCH, "bounds": bounds})
+        assert str(info.value).startswith(message)
