@@ -22,7 +22,8 @@ from radon_machine import (
     synth_regression,
     train,
 )
-from radon_machine.datasets import MAX_DENSE_CELLS, _infer_binary, _loadtxt_csv, _parse_csv_lines
+from radon_machine import datasets
+from radon_machine.datasets import _infer_binary, _loadtxt_csv, _parse_csv_lines
 from radon_machine.metrics import _average_ranks
 
 
@@ -152,17 +153,23 @@ class TestSyntheticGenerators:
         with pytest.raises(ConfigError):
             synth_regression(10, 3, -0.1, seed=0)
 
-    @pytest.mark.parametrize("n, d", [(10**12, 8), (MAX_DENSE_CELLS + 1, 1), (2, MAX_DENSE_CELLS)])
     @pytest.mark.parametrize("make", [synth_classification, synth_regression])
-    def test_cell_cap_trips_before_allocating(self, make, n, d):
+    def test_cell_cap_trips_before_allocating(self, make):
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="dense cells"):
-                make(n, d, 0.1, seed=0)
+            with pytest.raises(ConfigError, match="exceed the cap of 100000000 dense cells"):
+                make(10**12, 8, 0.1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("make", [synth_classification, synth_regression])
+    def test_cell_cap_admits_exactly_the_cap(self, make, monkeypatch):
+        monkeypatch.setattr(datasets, "MAX_DENSE_CELLS", 12)
+        assert make(4, 3, 0.1, seed=0)[0].x.shape == (4, 3)
+        with pytest.raises(ConfigError, match="13 rows x 1 columns exceed the cap of 12"):
+            make(13, 1, 0.1, seed=0)
 
 
 class TestKfold:
