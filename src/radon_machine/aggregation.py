@@ -238,7 +238,7 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
         points = np.array([cert.point for cert in certs])
         trace.hypotheses_per_level.append(len(certs))
         trace.pin_fallbacks.append(sum(cert.pin != 0 for cert in certs))
-        residuals = _violations(groups, lams, lams >= 0.0, lambda_sums, points)
+        residuals = _violations(groups.transpose(1, 2, 0), lams, lams >= 0.0, lambda_sums, points)
         trace.max_cert_residual.append(float(residuals.max()))
     return points, trace
 

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .bounds import ComplexityParams
 from .datasets import load_dataset
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
     MC_CSV_COLUMNS,
     ExperimentConfig,
+    _complexity_params,
     bounds_table,
     config_section,
     fit,
@@ -235,11 +235,13 @@ def _cmd_mc_bound(args) -> int:
 
 def _cmd_bounds(args) -> int:
     pick = _picker(config_section(_load_config_file(args.config), "bounds"), "bounds")
-    params = ComplexityParams(
-        alpha_eps=pick(args.alpha_eps, "alpha_eps", 0.0, float),
-        beta_eps=pick(args.beta_eps, "beta_eps", 1.0, float),
-        k=pick(args.k, "k", 1, int),
-        kappa=pick(args.kappa, "kappa", 1, int),
+    params = _complexity_params(
+        {
+            "alpha_eps": pick(args.alpha_eps, "alpha_eps", 0.0, float),
+            "beta_eps": pick(args.beta_eps, "beta_eps", 1.0, float),
+            "k": pick(args.k, "k", 1, int),
+            "kappa": pick(args.kappa, "kappa", 1, int),
+        }
     )
     r = pick(args.r, "r", 4, int)
     delta_base = pick(args.delta_base, "delta_base", 1.0 / (2 * r), float)

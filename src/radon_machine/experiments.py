@@ -138,9 +138,10 @@ class ExperimentConfig:
 
 
 def _complexity_params(bounds: dict) -> ComplexityParams:
-    """The base-learner model of a config's ``bounds`` section, which
-    requires alpha_eps and beta_eps; ComplexityParams checks their ranges,
-    and its errors, which start with the field's name, gain the section's."""
+    """The base-learner model of a ``bounds`` section (a benchmark config's,
+    or the values the bounds subcommand picked), which requires alpha_eps
+    and beta_eps; ComplexityParams checks their ranges, and its errors,
+    which start with the field's name, gain the section's."""
     for key in ("alpha_eps", "beta_eps"):
         require_number(bounds.get(key), f"bounds.{key}")
     for key in ("k", "kappa"):
@@ -416,9 +417,9 @@ def mc_confidence(
 
     Builds ``trials`` full aggregation trees from fresh draws and reports,
     per level, the fraction of surviving hypotheses whose quality exceeds
-    eps next to the theoretical bound.  Trials are simulated in fixed-size
-    shards with independent seeds and merged by summation, so the result
-    does not depend on the worker count.
+    eps (finite and > 0) next to the theoretical bound.  Trials are
+    simulated in fixed-size shards with independent seeds and merged by
+    summation, so the result does not depend on the worker count.
     """
     if r < 3:
         raise ConfigError(f"Radon number must be >= 3, got {r}")
@@ -426,6 +427,8 @@ def mc_confidence(
         raise ConfigError("height must be >= 0")
     if not 0.0 <= delta_base < 1.0:
         raise ConfigError(f"delta_base must lie in [0, 1), got {delta_base}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials, got {trials}")
     if workers < 1:

@@ -18,7 +18,10 @@ calls are safe from any number of concurrent workers.
 stacked LAPACK solve with coefficient 0 pinned to 1, and the scaled-pivoting
 elimination of ``solve_radon_system`` only for the sets that solve fails.
 ``radon_point`` is its batch of one, and every point it emits is checked
-against its certificate.
+against its certificate.  The kernel and its certificate check hold the
+stack sets-last, (r, d, n): their reductions run over leading axes with the
+n sets as the contiguous inner axis, and give the bits of the per-set
+(n, r, d) formulas (see ``_radon_stack``).
 """
 
 from __future__ import annotations
@@ -169,53 +172,75 @@ def _radon_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     and first-passing-pin rule.  Each point is the convex combination of its
     set's non-negative side, and every point is checked against its
     certificate (see _certify_stack).
+
+    Layout: the stack is held sets-last, as ``h_t`` (r, d + 1, n), the
+    columns of every set's matrix [points^T; 1] with the n sets as the
+    contiguous inner axis; its first d rows are ``pts_t`` (r, d, n).
+    Reductions then run over leading axes, one vector operation per point
+    or row, instead of one short reduction per set.  The bits are those of
+    the per-set (n, r, d) formulas.  Maxima (tolerance, residual, sign
+    check, worst violation) are exact in any order.  Sums over a set's r
+    points (the residual, the point, both combinations of the check) add
+    them left to right over the leading axis, as numpy added them in the
+    per-set arrays, where r was a strided axis or shorter than 8.  Sums of
+    a set's r weights (the masses, the check's normalisation) keep r as
+    the contiguous inner axis, because numpy sums that pairwise once
+    r >= 8.  The LAPACK stacks stay (n, r - 1, r - 1).
     """
     n, r, dim = pts.shape
     _check_count(r, dim)
-    h_mat = np.concatenate([pts.transpose(0, 2, 1), np.ones((n, 1, r))], axis=1)
-    a = h_mat[:, :, 1:].copy()
+    h_t = np.ones((r, dim + 1, n))
+    h_t[:, :dim] = pts.transpose(1, 2, 0)
+    pts_t = h_t[:, :dim]
+    a = h_t[1:].transpose(2, 1, 0).copy()
     # An exactly singular matrix has a zero LU pivot, so its determinant is
     # 0 (or not finite when the product overflows); an identity stand-in
     # keeps the stacked solve from raising, and the set falls back.
     det = np.linalg.det(a)
     regular = np.isfinite(det) & (det != 0.0)
     a[~regular] = np.eye(r - 1)
-    x = np.linalg.solve(a, -h_mat[:, :, :1])[:, :, 0]
+    x = np.linalg.solve(a, -h_t[0].T[:, :, None])[:, :, 0]
     lam = np.concatenate([np.ones((n, 1)), x], axis=1)
+    lam_t = lam.T.copy()
     pins = np.zeros(n, dtype=np.intp)
 
-    tol = RESIDUAL_RTOL * (1.0 + np.abs(pts).max(axis=(1, 2)))
-    residual = np.abs((h_mat * lam[:, None, :]).sum(axis=2)).max(axis=1)
-    passed = regular & (residual <= tol) & (lam < 0.0).any(axis=1)
+    tol = RESIDUAL_RTOL * (1.0 + np.abs(pts_t).max(axis=(0, 1)))
+    residual = np.abs((h_t * lam_t[:, None, :]).sum(axis=0)).max(axis=0)
+    passed = regular & (residual <= tol) & (lam_t < 0.0).any(axis=0)
+    # Free the solve's stacks: the certificate check below is the peak.
+    del a, x, lam_t
     for i in np.flatnonzero(~passed):
         lam[i], pins[i] = _first_passing_pin(pts[i])
 
     weights = np.where(lam >= 0.0, lam, 0.0)
     lambda_sum = weights.sum(axis=1)
-    point = ((weights / lambda_sum[:, None])[:, :, None] * pts).sum(axis=1)
-    _certify_stack(pts, lam, lambda_sum, point, tol)
+    w = weights / lambda_sum[:, None]
+    point = (w.T[:, None, :] * pts_t).sum(axis=0).T.copy()
+    _certify_stack(pts_t, lam, lambda_sum, point, tol)
     return lam, pins, lambda_sum, point
 
 
-def _violations(pts, lam, pos, lambda_sum, point) -> np.ndarray:
+def _violations(pts_t, lam, pos, lambda_sum, point) -> np.ndarray:
     """Per-set largest violation of the certificate conditions (see certify),
-    for stacks of sets (n, r, d), coefficients (n, r), non-negative-side
-    masks (n, r), masses (n,) and points (n, d)."""
-    scale = lambda_sum[:, None]
-    w_pos = np.where(pos, lam, 0.0) / scale
-    w_neg = np.where(pos, 0.0, -lam) / scale
-    worst = np.maximum(np.where(pos, -lam, lam), 0.0).max(axis=1)
+    for a stack of sets stored sets-last, ``pts_t`` (r, d, n), with
+    coefficients (n, r), non-negative-side masks (n, r), masses (n,) and
+    points (n, d)."""
+    w_pos = np.where(pos, lam, 0.0) / lambda_sum[:, None]
+    w_neg = np.where(pos, 0.0, -lam) / lambda_sum[:, None]
+    # Sign check: coefficients on the wrong side of the split.
+    worst = np.maximum(np.where(pos, -lam, lam), 0.0).T.copy().max(axis=0)
     for w in (w_pos, w_neg):
         worst = np.maximum(worst, np.abs(w.sum(axis=1) - 1.0))
-        comb = (w[:, :, None] * pts).sum(axis=1)
-        worst = np.maximum(worst, np.abs(comb - point).max(axis=1))
+        comb = (w.T[:, None, :] * pts_t).sum(axis=0)
+        worst = np.maximum(worst, np.abs(comb - point.T).max(axis=0))
     return worst
 
 
-def _certify_stack(pts, lam, lambda_sum, point, tol) -> None:
+def _certify_stack(pts_t, lam, lambda_sum, point, tol) -> None:
     """Raise DegenerateSetError unless every set's certificate, split by the
-    signs of its coefficients, holds within its tolerance."""
-    worst = _violations(pts, lam, lam >= 0.0, lambda_sum, point)
+    signs of its coefficients, holds within its tolerance; ``pts_t`` is the
+    stack sets-last, (r, d, n)."""
+    worst = _violations(pts_t, lam, lam >= 0.0, lambda_sum, point)
     failed = np.flatnonzero(~(worst <= tol))
     if failed.size:
         i = int(failed[0])
@@ -267,6 +292,6 @@ def certify(points, cert: RadonCertificate) -> float:
     pos_mask = np.zeros(r, dtype=bool)
     pos_mask[pos] = True
     worst = _violations(
-        pts[None], lam[None], pos_mask[None], np.array([cert.lambda_sum]), point[None]
+        pts[:, :, None], lam[None], pos_mask[None], np.array([cert.lambda_sum]), point[None]
     )
     return float(worst[0])

@@ -1,8 +1,9 @@
-"""tools/bench_condense.py: medians, spreads and the one-tree, one-host rule."""
+"""tools/bench_condense.py: medians, quartiles, spreads and the one-tree, one-host rule."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_condense.py"
@@ -52,16 +53,29 @@ def test_end_to_end_medians_and_op_vs_ref_spread():
     cv = summary["workloads"]["cv-squared"]
     assert cv["runs"] == 3
     assert cv["seeds"] == [1, 2, 3]
-    assert cv["op_vs_ref"] == {"median": 4.0, "min": 3.0, "max": 5.0}
+    assert cv["op_vs_ref"] == {"median": 4.0, "min": 3.0, "q1": 3.5, "q3": 4.5, "max": 5.0}
     assert cv["peak_rss_mb"] == 120.0
     assert cv["quality"] == 0.75
     assert cv["failed_ops"] == 1
     assert cv["seconds"] == [12.0]
     assert cv["cpus_usable"] == [2]
-    assert summary["workloads"]["mc-bound"]["op_vs_ref"]["median"] == 0.2
+    assert summary["workloads"]["mc-bound"]["op_vs_ref"] == {
+        "median": 0.2, "min": 0.2, "q1": 0.2, "q3": 0.2, "max": 0.2
+    }
     assert summary["tag"] == "t1"
     assert "loadavg_at_start" not in summary["host"]
     assert summary["host"]["src_sha256"] == "f00d"
+
+
+def test_op_vs_ref_quartiles_interpolate_as_numpy_does():
+    ratios = [0.150, 0.120, 0.144, 0.141, 0.139, 0.146, 0.143, 0.160, 0.138, 0.142]
+    results = [_run("mc-bound", seed, ratio, 80.0) for seed, ratio in enumerate(ratios, 1)]
+    spread = bench_condense.condense(results, "t5")["workloads"]["mc-bound"]["op_vs_ref"]
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    assert spread["q1"] == pytest.approx(q1, abs=1e-15)
+    assert spread["median"] == pytest.approx(median, abs=1e-15)
+    assert spread["q3"] == pytest.approx(q3, abs=1e-15)
+    assert spread["min"] <= spread["q1"] <= spread["median"] <= spread["q3"] <= spread["max"]
 
 
 def test_traced_per_layer_medians():

@@ -485,3 +485,33 @@ class TestSyntheticCellCap:
         assert main(["train", "--n", str(10**12), "--d", "8", "--out", str(out)]) == 2
         assert "exceed the cap of 100000000 dense cells" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMcBoundEps:
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_flag_is_config_error(self, capsys, eps):
+        assert main(["mc-bound", "--trials", "1000", "--eps", eps]) == 2
+        assert "config error: eps must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", [-1, 0, float("nan"), float("inf")])
+    def test_config_value_is_config_error(self, tmp_path, capsys, eps):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mc": {"trials": 1000, "eps": eps}}))
+        assert main(["mc-bound", "--config", str(cfg_path)]) == 2
+        assert "config error: eps must be finite and > 0" in capsys.readouterr().err
+
+
+class TestBoundsFlagRangeError:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha-eps", "-1", "bounds.alpha_eps must be finite and >= 0, got -1.0"),
+            ("--beta-eps", "-1", "bounds.beta_eps must be finite and >= 0, got -1.0"),
+            ("--k", "0", "bounds.k must be >= 1, got 0"),
+            ("--kappa", "0", "bounds.kappa must be >= 1, got 0"),
+        ],
+        ids=["alpha_eps", "beta_eps", "k", "kappa"],
+    )
+    def test_out_of_range_flag_names_the_field(self, capsys, flag, value, message):
+        assert main(["bounds", flag, value]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err

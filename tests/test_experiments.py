@@ -212,6 +212,27 @@ class TestMcConfidence:
         with pytest.raises(ConfigError, match="cap"):
             mc_confidence(r=10, h=7, delta_base=0.1, trials=100000, seed=0)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ConfigError, match=r"eps must be finite and > 0"):
+            mc_confidence(r=4, h=1, delta_base=0.1, trials=1000, seed=0, eps=eps)
+
+    # Level fractions of mc_confidence(4, 2, 0.125, 1000, seed), read from
+    # the (n, r, d) kernel before it went sets-last.
+    PINNED_ROWS = {
+        1: (0.1249375, 0.00975, 0.0),
+        2: (0.125125, 0.012, 0.0),
+        3: (0.1296875, 0.01025, 0.0),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_are_pinned(self, seed, workers):
+        result = mc_confidence(r=4, h=2, delta_base=0.125, trials=1000, seed=seed, workers=workers)
+        fractions = tuple(row["empirical_bad_fraction"] for row in result["rows"])
+        assert fractions == self.PINNED_ROWS[seed]
+        assert [row["samples"] for row in result["rows"]] == [16000, 4000, 1000]
+
 
 class TestBoundsTable:
     PARAMS = ComplexityParams(alpha_eps=0.0, beta_eps=1.0, k=1, kappa=1)

@@ -16,7 +16,7 @@ from radon_machine import (
     solve_radon_system,
 )
 from radon_machine import radon_points
-from radon_machine.radon_points import _certify_stack, _radon_stack
+from radon_machine.radon_points import _certify_stack, _radon_stack, _violations
 
 FORCED_SINGLETON = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
 
@@ -138,12 +138,12 @@ class TestRadonStack:
         stack = np.random.default_rng(29).standard_normal((6, 5, 3))
         lam, _, lambda_sum, point = _radon_stack(stack)
         tol = np.full(6, 1e-9)
-        _certify_stack(stack, lam, lambda_sum, point, tol)
+        _certify_stack(stack.transpose(1, 2, 0), lam, lambda_sum, point, tol)
         corrupted = lam.copy()
         neg = np.flatnonzero(corrupted[4] < 0.0)[0]
         corrupted[4, neg] *= 1.001
         with pytest.raises(DegenerateSetError, match="set 4"):
-            _certify_stack(stack, corrupted, lambda_sum, point, tol)
+            _certify_stack(stack.transpose(1, 2, 0), corrupted, lambda_sum, point, tol)
 
     def test_fallback_points_are_certified(self, monkeypatch):
         solve = radon_points._first_passing_pin
@@ -155,6 +155,88 @@ class TestRadonStack:
         monkeypatch.setattr(radon_points, "_first_passing_pin", off_by_a_little)
         with pytest.raises(DegenerateSetError):
             radon_point(FORCED_SINGLETON)
+
+
+def _reference_radon_stack(pts):
+    """_radon_stack's (n, r, d) formulas before the kernel went sets-last,
+    frozen as the reference its bits are held to (no certificate check)."""
+    n, r, dim = pts.shape
+    h_mat = np.concatenate([pts.transpose(0, 2, 1), np.ones((n, 1, r))], axis=1)
+    a = h_mat[:, :, 1:].copy()
+    det = np.linalg.det(a)
+    regular = np.isfinite(det) & (det != 0.0)
+    a[~regular] = np.eye(r - 1)
+    x = np.linalg.solve(a, -h_mat[:, :, :1])[:, :, 0]
+    lam = np.concatenate([np.ones((n, 1)), x], axis=1)
+    pins = np.zeros(n, dtype=np.intp)
+    tol = radon_points.RESIDUAL_RTOL * (1.0 + np.abs(pts).max(axis=(1, 2)))
+    residual = np.abs((h_mat * lam[:, None, :]).sum(axis=2)).max(axis=1)
+    passed = regular & (residual <= tol) & (lam < 0.0).any(axis=1)
+    for i in np.flatnonzero(~passed):
+        lam[i], pins[i] = radon_points._first_passing_pin(pts[i])
+    weights = np.where(lam >= 0.0, lam, 0.0)
+    lambda_sum = weights.sum(axis=1)
+    point = ((weights / lambda_sum[:, None])[:, :, None] * pts).sum(axis=1)
+    return lam, pins, lambda_sum, point
+
+
+def _reference_violations(pts, lam, pos, lambda_sum, point):
+    """_violations' (n, r, d) formulas before the kernel went sets-last."""
+    scale = lambda_sum[:, None]
+    w_pos = np.where(pos, lam, 0.0) / scale
+    w_neg = np.where(pos, 0.0, -lam) / scale
+    worst = np.maximum(np.where(pos, -lam, lam), 0.0).max(axis=1)
+    for w in (w_pos, w_neg):
+        worst = np.maximum(worst, np.abs(w.sum(axis=1) - 1.0))
+        comb = (w[:, :, None] * pts).sum(axis=1)
+        worst = np.maximum(worst, np.abs(comb - point).max(axis=1))
+    return worst
+
+
+def _reference_stacks(r):
+    """20 stacks of r-point sets: 1 to 300 sets, coordinates scaled by
+    1e-150 to 1e150, and, in the larger ones, an all-equal, a duplicated, a
+    collinear, an all-zero and an all -0.0 set, and a -0.0 point."""
+    rng = np.random.default_rng(1000 + r)
+    exponents = [-150, -100, -50, -8, 0, 8, 50, 100, 150]
+    for k in range(20):
+        n = [1, 2, 7, 33, 120, 300][k % 6]
+        # Extreme scales send most sets to the elimination fallback, one
+        # Python call per set, so the largest stacks keep to 1e-8..1e8.
+        exponent = exponents[(7 * k + r) % 9] if n < 300 else exponents[3 + k % 3]
+        scale = 10.0**exponent
+        pts = rng.standard_normal((n, r, r - 2)) * scale
+        if n > 6:
+            pts[1] = pts[1, 0]
+            pts[2, -1] = pts[2, 0]
+            pts[3] = rng.standard_normal((r, 1)) * rng.standard_normal(r - 2) * scale
+            pts[4] = 0.0
+            pts[5] = -0.0
+            pts[6, 1] = -0.0
+        yield pts
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("r", range(3, 16))
+def test_kernel_matches_frozen_reference(r):
+    """The sets-last kernel and certificate check keep the bits of the
+    (n, r, d) formulas; both sides of the mixed-stack test above run the
+    kernel, so only a frozen copy can see a change of layout."""
+    for pts in _reference_stacks(r):
+        got = _radon_stack(pts)
+        want = _reference_radon_stack(pts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        lam, _, lambda_sum, point = want
+        # The kernel's own sign split, then one that puts every coefficient
+        # on the wrong side, so the sign check reads non-zero; the stack as a
+        # transposed view (as certify and the traced tree pass it) and as
+        # the kernel's contiguous copy.
+        for pos in (lam >= 0.0, lam < 0.0):
+            want = _reference_violations(pts, lam, pos, lambda_sum, point)
+            for pts_t in (pts.transpose(1, 2, 0), pts.transpose(1, 2, 0).copy()):
+                got = _violations(pts_t, lam, pos, lambda_sum, point)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestCertify:

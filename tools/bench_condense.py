@@ -5,7 +5,8 @@
 Reads every end-to-end result file ``<workload>-seed<n>-trace0.json`` under
 ``--src`` (as written by ``perfbench/run.py``) and writes, per workload, the
 number of runs and their seeds, the median of the runs' ``op_vs_ref`` with
-its minimum and maximum, and the median of each other end-to-end metric.
+its minimum, quartiles (``q1``, ``q3``; numpy's default linear
+interpolation) and maximum, and the median of each other end-to-end metric.
 Traced result files ``<workload>-seed<n>-trace1.json`` add, per workload,
 their count and seeds and the median of each per-layer metric under
 ``per_layer``.  The host record is taken from the runs, without the load
@@ -44,6 +45,9 @@ def condense(results: list[dict], tag: str, traced: list[dict] = ()) -> dict:
     for name, runs in sorted(_by_workload(results).items()):
         values = {key: [r["end_to_end"][key] for r in runs] for key in runs[0]["end_to_end"]}
         ratios = values.pop("op_vs_ref")
+        # quantiles() needs two values; a single run is its own quartiles.
+        spread = ratios if len(ratios) > 1 else ratios * 2
+        q1, _, q3 = statistics.quantiles(spread, n=4, method="inclusive")
         workloads[name] = {
             "runs": len(runs),
             "seeds": [r["seed"] for r in runs],
@@ -52,6 +56,8 @@ def condense(results: list[dict], tag: str, traced: list[dict] = ()) -> dict:
             "op_vs_ref": {
                 "median": statistics.median(ratios),
                 "min": min(ratios),
+                "q1": q1,
+                "q3": q3,
                 "max": max(ratios),
             },
             **{key: statistics.median(vals) for key, vals in sorted(values.items())},
