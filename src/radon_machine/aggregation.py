@@ -12,9 +12,8 @@ block kernel (learners._train_block), which gives the same bits as one
 train() call per partition; only SGD with one worker still makes one
 train() call per partition.  The kernel makes one Python pass per SGD step
 however many partitions it trains, so a process pool would only add fork
-and pickling cost.  ``_pool_map``, the only place that starts processes,
-serves the Monte-Carlo shards (see experiments), in order, so their output
-is bit-identical for any worker count.  Radon levels fold in-process as
+and pickling cost; the package starts no process, and ``workers`` is
+checked but changes no result.  Radon levels fold in-process as
 well; ``_radon_level`` solves a whole level with one stacked call of
 radon_points' kernel, and ``_fold_tree`` folds a tree with one such call
 per level: experiments' CV folds and ``fit`` take that path.  Only
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,16 +147,6 @@ def training_seeds(seed: int, count: int) -> list[int]:
     """Deterministic, well-mixed per-partition training seeds."""
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
-
-
-def _pool_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], on a pool of at most one process per
-    item; in-process when that leaves a single worker."""
-    workers = min(workers, len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def train_on_partitions(

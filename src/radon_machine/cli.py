@@ -22,6 +22,7 @@ from .datasets import load_dataset
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
+    BOUNDS_KEYS,
     MC_CSV_COLUMNS,
     ExperimentConfig,
     _complexity_params,
@@ -37,6 +38,10 @@ from .experiments import (
 )
 from .learners import Hypothesis, LearnerSpec, predict_score
 from .radon_points import radon_number
+
+# The keys each subcommand reads from its config section.
+MC_KEYS = ("r", "h", "delta_base", "trials", "seed", "workers")
+BOUNDS_TABLE_KEYS = (*BOUNDS_KEYS, "r", "h_min", "h_max", "c_workers")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--h", type=int, default=None)
     mc.add_argument("--delta-base", type=float, default=None)
     mc.add_argument("--trials", type=int, default=None)
-    mc.add_argument("--eps", type=float, default=None)
     mc.set_defaults(handler=_cmd_mc_bound)
 
     bounds = sub.add_parser("bounds", help="closed-form bound table over heights")
@@ -203,16 +207,16 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_mc_bound(args) -> int:
-    pick = _picker(config_section(_load_config_file(args.config), "mc"), "mc")
+    section = config_section(_load_config_file(args.config), "mc", MC_KEYS)
+    pick = _picker(section, "mc")
     r = pick(args.r, "r", 4, int)
     h = pick(args.h, "h", 2, int)
     delta_base = pick(args.delta_base, "delta_base", 0.125, float)
     trials = pick(args.trials, "trials", 10000, int)
-    eps = pick(args.eps, "eps", 1.0, float)
     seed = pick(args.seed, "seed", 0, int)
     workers = pick(args.workers, "workers", 1, int)
 
-    result = mc_confidence(r, h, delta_base, trials, seed, workers=workers, eps=eps)
+    result = mc_confidence(r, h, delta_base, trials, seed, workers=workers)
     if not result["bound_precondition_met"]:
         print(
             f"warning: delta_base={delta_base} exceeds 1/(2r)={1.0 / (2 * r)}; "
@@ -234,7 +238,8 @@ def _cmd_mc_bound(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    pick = _picker(config_section(_load_config_file(args.config), "bounds"), "bounds")
+    section = config_section(_load_config_file(args.config), "bounds", BOUNDS_TABLE_KEYS)
+    pick = _picker(section, "bounds")
     params = _complexity_params(
         {
             "alpha_eps": pick(args.alpha_eps, "alpha_eps", 0.0, float),

@@ -27,7 +27,6 @@ from .aggregation import (
     RadonConfig,
     _check_tree,
     _fold_tree,
-    _pool_map,
     _radon_level,
     max_height,
     partition_indices,
@@ -55,9 +54,13 @@ BENCHMARK_CSV_COLUMNS = [
 # A bound report's fields, less the two every row of a table shares.
 BOUNDS_CSV_COLUMNS = [f.name for f in fields(BoundReport) if f.name not in ("r", "delta_base")]
 
+# The keys a benchmark config's ``bounds`` section may hold.
+BOUNDS_KEYS = ("alpha_eps", "beta_eps", "k", "kappa", "delta_base")
+
 MC_CSV_COLUMNS = ["level", "empirical_bad_fraction", "theoretical_bound", "samples"]
 
-# Trials per Monte-Carlo shard; fixed so results do not depend on workers.
+# Trials per Monte-Carlo shard.  Each shard draws from its own seed, so the
+# fixed size fixes the results; it also bounds the memory of one shard's draws.
 MC_SHARD_TRIALS = 512
 MC_MAX_LEAF_DRAWS = 100_000_000
 
@@ -102,6 +105,7 @@ class ExperimentConfig:
         if not isinstance(self.shuffle_levels, bool):
             raise ConfigError(f"shuffle_levels must be true or false, got {self.shuffle_levels!r}")
         if self.bounds:
+            config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
             _complexity_params(self.bounds)
             if "delta_base" in self.bounds:
                 delta_base = require_number(self.bounds["delta_base"], "bounds.delta_base")
@@ -157,13 +161,18 @@ def _complexity_params(bounds: dict) -> ComplexityParams:
         raise ConfigError(f"bounds.{exc}") from None
 
 
-def config_section(raw: dict, name: str) -> dict:
-    """``raw[name]``, or {} when absent; a config error unless a JSON object."""
+def config_section(raw: dict, name: str, keys=None) -> dict:
+    """``raw[name]``, or {} when absent; a config error unless a JSON object,
+    or, given ``keys``, when it holds a key outside them (named as
+    ``name.key``)."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(
             f"config section {name!r} must be a JSON object, got {type(section).__name__}"
         )
+    unknown = sorted(set(section) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown config fields: {[f'{name}.{key}' for key in unknown]}")
     return section
 
 
@@ -373,16 +382,18 @@ def _fit_all(
     return fits
 
 
-def _mc_shard(args) -> np.ndarray:
+def _mc_shard(
+    r: int, h: int, delta_base: float, n_trials: int, seed: int, shard_idx: int
+) -> np.ndarray:
     """Simulate one shard of aggregation trees; returns bad counts per level.
 
     Hypotheses live in (r - 2)-dimensional space so the space's Radon number
-    is exactly r.  Good draws are uniform in the unit-quality ball around a
-    fixed target, bad draws sit at twice that distance, and the bad
+    is exactly r.  Distances are in units of the quality radius: good draws
+    are uniform in the unit ball around a fixed target, bad draws sit at
+    distance 2, and a point is bad when its norm exceeds 1.  The bad
     probability is exact by construction, so the per-level bad fractions
     can be compared sharply against (r * delta_base) ** (2 ** level).
     """
-    r, h, delta_base, n_trials, seed, shard_idx, eps = args
     d = r - 2
     leaves = r**h
     rng = np.random.default_rng(np.random.SeedSequence((seed, shard_idx)))
@@ -392,7 +403,7 @@ def _mc_shard(args) -> np.ndarray:
     norms = np.linalg.norm(directions, axis=1)
     norms[norms == 0.0] = 1.0
     directions /= norms[:, None]
-    radii = np.where(bad, 2.0 * eps, eps * rng.random(m) ** (1.0 / d))
+    radii = np.where(bad, 2.0, rng.random(m) ** (1.0 / d))
     points = directions * radii[:, None]
 
     counts = np.zeros(h + 1, dtype=np.int64)
@@ -400,26 +411,22 @@ def _mc_shard(args) -> np.ndarray:
     current = points.reshape(n_trials, leaves, d)
     for level in range(1, h + 1):
         current = _radon_level(current, r)
-        counts[level] = int((np.linalg.norm(current.reshape(-1, d), axis=1) > eps).sum())
+        counts[level] = int((np.linalg.norm(current.reshape(-1, d), axis=1) > 1.0).sum())
     return counts
 
 
 def mc_confidence(
-    r: int,
-    h: int,
-    delta_base: float,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    eps: float = 1.0,
+    r: int, h: int, delta_base: float, trials: int, seed: int, workers: int = 1
 ) -> dict:
     """Monte-Carlo check of the per-level failure bound.
 
     Builds ``trials`` full aggregation trees from fresh draws and reports,
-    per level, the fraction of surviving hypotheses whose quality exceeds
-    eps (finite and > 0) next to the theoretical bound.  Trials are
-    simulated in fixed-size shards with independent seeds and merged by
-    summation, so the result does not depend on the worker count.
+    per level, the fraction of surviving hypotheses outside the quality
+    radius next to the theoretical bound.  Radon points are
+    affine-equivariant, so that fraction does not depend on the radius,
+    and the draws take it as their unit.  Trials are simulated in-process
+    in fixed-size shards, each from its own seed, and merged by summation;
+    ``workers`` must be >= 1 but changes neither the path nor the result.
     """
     if r < 3:
         raise ConfigError(f"Radon number must be >= 3, got {r}")
@@ -427,8 +434,6 @@ def mc_confidence(
         raise ConfigError("height must be >= 0")
     if not 0.0 <= delta_base < 1.0:
         raise ConfigError(f"delta_base must lie in [0, 1), got {delta_base}")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials, got {trials}")
     if workers < 1:
@@ -439,18 +444,10 @@ def mc_confidence(
             f"trials * r^h = {trials * r**h} exceeds the cap of {MC_MAX_LEAF_DRAWS} leaf draws"
         )
 
-    shards = []
-    remaining = trials
-    idx = 0
-    while remaining > 0:
-        size = min(MC_SHARD_TRIALS, remaining)
-        shards.append((r, h, delta_base, size, seed, idx, eps))
-        remaining -= size
-        idx += 1
-
     counts = np.zeros(h + 1, dtype=np.int64)
-    for shard_counts in _pool_map(_mc_shard, shards, workers):
-        counts += shard_counts
+    for idx, start in enumerate(range(0, trials, MC_SHARD_TRIALS)):
+        size = min(MC_SHARD_TRIALS, trials - start)
+        counts += _mc_shard(r, h, delta_base, size, seed, idx)
 
     rows = []
     for level in range(h + 1):
@@ -472,7 +469,6 @@ def mc_confidence(
         "h": h,
         "delta_base": delta_base,
         "trials": trials,
-        "eps": eps,
         "bound_precondition_met": delta_base <= 1.0 / (2 * r),
         "rows": rows,
     }

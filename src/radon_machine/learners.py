@@ -30,10 +30,12 @@ equal-size partitions.  Diverged SGD raises ShapeError naming
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _as_float
 from .datasets import Dataset
 from .errors import ConfigError, DataError, ShapeError, require_number
 
@@ -62,12 +64,14 @@ class LearnerSpec:
         require_number(self.learning_rate0, "learner.learning_rate0")
         if not isinstance(self.fit_bias, bool):
             raise ConfigError(f"learner.fit_bias must be true or false, got {self.fit_bias!r}")
-        if self.reg_lambda < 0:
-            raise ConfigError("reg_lambda must be >= 0")
+        if not (math.isfinite(_as_float(self.reg_lambda)) and self.reg_lambda >= 0):
+            raise ConfigError(f"learner.reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not self.learning_rate0 > 0:
-            raise ConfigError("learning_rate0 must be > 0")
+        if not (math.isfinite(_as_float(self.learning_rate0)) and self.learning_rate0 > 0):
+            raise ConfigError(
+                f"learner.learning_rate0 must be finite and > 0, got {self.learning_rate0}"
+            )
 
     def hypothesis_dim(self, data_dim: int) -> int:
         return data_dim + 1 if self.fit_bias else data_dim

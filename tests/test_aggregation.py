@@ -1,5 +1,11 @@
 """Partitioning, the aggregation tree, and the averaging baseline."""
 
+import multiprocessing.process
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import straight_line_radon_machine
@@ -194,7 +200,7 @@ class TestPoolTraining:
         first_part = wide.subset(partition_indices(200, 16, 0)[0])
         with np.errstate(all="ignore"), pytest.raises(ShapeError):
             train(diverging, first_part, training_seeds(0, 16)[0])
-        with pytest.raises(ShapeError):
+        with np.errstate(all="ignore"), pytest.raises(ShapeError):
             train_on_partitions(diverging, wide, 16, 0, workers=2)
 
     def test_workers_below_one_rejected(self):
@@ -205,42 +211,43 @@ class TestPoolTraining:
         with pytest.raises(ConfigError, match="workers"):
             averaging_at_end(spec, data, 4, 0, workers=-3)
 
-    def test_pool_starts_at_most_one_process_per_item(self, monkeypatch):
-        sizes = []
 
-        class InProcessPool:
-            """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
+def _forbid_processes(monkeypatch):
+    """Make starting a process, by multiprocessing or by a bare fork, fail the test."""
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the package started a process")
 
-            def __enter__(self):
-                return self
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
-            def __exit__(self, *exc):
-                return False
 
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(aggregation, "ProcessPoolExecutor", InProcessPool)
-        # 1000 trials make two shards of at most 512
-        pooled = mc_confidence(r=4, h=1, delta_base=0.125, trials=1000, seed=2, workers=16)
-        assert sizes == [2]
-        assert pooled["rows"] == mc_confidence(4, 1, 0.125, 1000, seed=2, workers=1)["rows"]
-
+class TestNoProcess:
+    def test_any_worker_count_runs_in_process_with_the_same_result(self, monkeypatch):
+        # 1000 trials make two shards of at most 512, which a pool would spread
+        single_mc = mc_confidence(r=4, h=1, delta_base=0.125, trials=1000, seed=2, workers=1)
         data, _ = synth_classification(300, 2, 0.1, seed=3)
         spec = LearnerSpec(loss="logistic", epochs=1)
-        weights, _ = train_on_partitions(spec, data, 3, 0, workers=8)
-        assert sizes == [2]
-        assert np.array_equal(weights, train_on_partitions(spec, data, 3, 0)[0])
+        single = train_on_partitions(spec, data, 3, 0)[0]
+        cfg = RadonConfig(r=5, h=1, seed=0, n_min=50)
+        single_root = radon_machine(spec, data, cfg)[0].weights
+        _forbid_processes(monkeypatch)
+        assert mc_confidence(4, 1, 0.125, 1000, seed=2, workers=16) == single_mc
+        assert np.array_equal(train_on_partitions(spec, data, 3, 0, workers=8)[0], single)
+        many = RadonConfig(r=5, h=1, seed=0, n_min=50, workers=8)
+        assert np.array_equal(radon_machine(spec, data, many)[0].weights, single_root)
 
-
-class _NoPool:
-    """Stands in for ProcessPoolExecutor and fails if anything builds one."""
-
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("training started a process pool")
+    def test_import_loads_no_process_machinery(self):
+        src = Path(aggregation.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys, radon_machine, radon_machine.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestInProcessTraining:
@@ -250,7 +257,7 @@ class TestInProcessTraining:
         single = train_on_partitions(spec, data, 25, 4)[0]
         cfg = RadonConfig(r=6, h=2, seed=4, n_min=50)
         single_root = radon_machine(spec, data, cfg)[0].weights
-        monkeypatch.setattr(aggregation, "ProcessPoolExecutor", _NoPool)
+        _forbid_processes(monkeypatch)
         assert np.array_equal(train_on_partitions(spec, data, 25, 4, workers=8)[0], single)
         many = RadonConfig(r=6, h=2, seed=4, n_min=50, workers=8)
         assert np.array_equal(radon_machine(spec, data, many)[0].weights, single_root)

@@ -324,7 +324,7 @@ class TestWrongTypedConfigValues:
         }
         cfg_path.write_text(json.dumps(config))
         assert main(["benchmark", "--config", str(cfg_path)]) == 0
-        cfg_path.write_text(json.dumps({"mc": {"delta_base": 0, "trials": 1000, "eps": 1}}))
+        cfg_path.write_text(json.dumps({"mc": {"delta_base": 0, "trials": 1000}}))
         assert main(["mc-bound", "--config", str(cfg_path)]) == 0
 
     def test_non_numeric_model_weights_are_config_error(self, tmp_path, capsys):
@@ -356,8 +356,16 @@ class TestFlagsPerSubcommand:
             ["predict", "--model", "m.json", "--data", "d.csv", "--seed", "3"],
             ["predict", "--model", "m.json", "--data", "d.csv", "--workers", "9"],
             ["bounds", "--seed", "5"],
+            ["mc-bound", "--eps", "1"],
         ],
-        ids=["train-config", "predict-config", "predict-seed", "predict-workers", "bounds-seed"],
+        ids=[
+            "train-config",
+            "predict-config",
+            "predict-seed",
+            "predict-workers",
+            "bounds-seed",
+            "mc-bound-eps",
+        ],
     )
     def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -487,20 +495,6 @@ class TestSyntheticCellCap:
         assert not out.exists()
 
 
-class TestMcBoundEps:
-    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
-    def test_flag_is_config_error(self, capsys, eps):
-        assert main(["mc-bound", "--trials", "1000", "--eps", eps]) == 2
-        assert "config error: eps must be finite and > 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("eps", [-1, 0, float("nan"), float("inf")])
-    def test_config_value_is_config_error(self, tmp_path, capsys, eps):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"mc": {"trials": 1000, "eps": eps}}))
-        assert main(["mc-bound", "--config", str(cfg_path)]) == 2
-        assert "config error: eps must be finite and > 0" in capsys.readouterr().err
-
-
 class TestBoundsFlagRangeError:
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -515,3 +509,61 @@ class TestBoundsFlagRangeError:
     def test_out_of_range_flag_names_the_field(self, capsys, flag, value, message):
         assert main(["bounds", flag, value]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+class TestUnknownSectionKeys:
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("mc-bound", {"mc": {"trails": 99999}}, "mc.trails"),
+            ("mc-bound", {"mc": {"trials": 1000, "eps": 1}}, "mc.eps"),
+            ("bounds", {"bounds": {"alpha_eps": 1, "beta_eps": 1, "delta": 0.01}}, "bounds.delta"),
+            ("bounds", {"bounds": {"hmax": 9}}, "bounds.hmax"),
+        ],
+        ids=["mc-trails", "mc-eps", "bounds-delta", "bounds-hmax"],
+    )
+    def test_subcommand_section_key_is_config_error(
+        self, tmp_path, capsys, command, payload, field
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: unknown config fields: ['{field}']" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["delta", "hmax", "h_max"])
+    def test_benchmark_bounds_key_is_config_error(self, tmp_path, monkeypatch, capsys, key):
+        payload = {"bounds": {"alpha_eps": 1, "beta_eps": 1, key: 0.01}}
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        assert f"config error: unknown config fields: ['bounds.{key}']" in capsys.readouterr().err
+
+
+class TestNonFiniteLearnerField:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_benchmark_config_reg_lambda_is_config_error(
+        self, tmp_path, monkeypatch, capsys, loss, value
+    ):
+        payload = {"learner": {"loss": loss, "reg_lambda": value}}  # JSON NaN / Infinity
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        assert "config error: learner.reg_lambda must be finite and >= 0" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--reg-lambda", "nan", "learner.reg_lambda must be finite and >= 0, got nan"),
+            ("--reg-lambda", "inf", "learner.reg_lambda must be finite and >= 0, got inf"),
+            ("--learning-rate0", "inf", "learner.learning_rate0 must be finite and > 0, got inf"),
+        ],
+        ids=["reg-lambda-nan", "reg-lambda-inf", "learning-rate0-inf"],
+    )
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_train_flag_is_config_error(self, tmp_path, capsys, loss, flag, value, field):
+        out = tmp_path / "m.json"
+        args = ["train", "--n", "500", "--d", "2", "--loss", loss, flag, value, "--out", str(out)]
+        assert main(args) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()

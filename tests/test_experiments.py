@@ -212,11 +212,6 @@ class TestMcConfidence:
         with pytest.raises(ConfigError, match="cap"):
             mc_confidence(r=10, h=7, delta_base=0.1, trials=100000, seed=0)
 
-    @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_eps_must_be_finite_and_positive(self, eps):
-        with pytest.raises(ConfigError, match=r"eps must be finite and > 0"):
-            mc_confidence(r=4, h=1, delta_base=0.1, trials=1000, seed=0, eps=eps)
-
     # Level fractions of mc_confidence(4, 2, 0.125, 1000, seed), read from
     # the (n, r, d) kernel before it went sets-last.
     PINNED_ROWS = {

@@ -95,6 +95,21 @@ class TestTrain:
         with pytest.raises(ConfigError):
             LearnerSpec(reg_lambda=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reg_lambda", float("nan")),
+            ("reg_lambda", float("inf")),
+            pytest.param("reg_lambda", 10**400, id="reg_lambda-10**400"),
+            ("learning_rate0", float("nan")),
+            ("learning_rate0", float("inf")),
+            ("learning_rate0", -float("inf")),
+        ],
+    )
+    def test_non_finite_rate_or_penalty_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^learner\.{field} must be finite"):
+            LearnerSpec(**{field: value})
+
 
 class TestPredictScore:
     def test_dot_product(self):
