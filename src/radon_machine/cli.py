@@ -273,8 +273,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    source = {"source": f"synthetic-{args.synth}", "n": args.n, "d": args.d,
-              "noise": args.noise, "noise_sd": args.noise_sd}
+    noise = {"noise": args.noise} if args.synth == "classification" else {"noise_sd": args.noise_sd}
+    source = {"source": f"synthetic-{args.synth}", "n": args.n, "d": args.d, **noise}
     if args.data is not None:
         source = {"source": "file", "path": args.data, "format": args.format}
     data = resolve_dataset(source, args.seed)

@@ -5,7 +5,9 @@
 fold the weight matrix of one train_on_partitions call.  ``radon`` folds
 it with one stacked Radon solve per level (aggregation._fold_tree), so
 every CV fold and the CLI's ``train`` make no radon_point call per group;
-only radon_machine does, for its per-level trace.
+only radon_machine does, for its per-level trace.  ``run_benchmark`` builds
+the rows ``[x, 1]`` once per run and trains every fold on them with no bias
+to append, so a fold's split is one take and no fold copies its rows again.
 
 Reports are plain dicts written as pretty JSON with sorted keys plus a flat
 CSV of per-fold rows, so re-running a configuration with the same seed
@@ -18,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,13 @@ BENCHMARK_CSV_COLUMNS = [
 
 # A bound report's fields, less the two every row of a table shares.
 BOUNDS_CSV_COLUMNS = [f.name for f in fields(BoundReport) if f.name not in ("r", "delta_base")]
+
+# The keys each dataset source reads.
+DATASET_KEYS = {
+    "file": ("source", "path", "format"),
+    "synthetic-classification": ("source", "n", "d", "noise", "seed"),
+    "synthetic-regression": ("source", "n", "d", "noise_sd", "seed"),
+}
 
 # The keys a benchmark config's ``bounds`` section may hold.
 BOUNDS_KEYS = ("alpha_eps", "beta_eps", "k", "kappa", "delta_base")
@@ -104,6 +113,7 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if not isinstance(self.shuffle_levels, bool):
             raise ConfigError(f"shuffle_levels must be true or false, got {self.shuffle_levels!r}")
+        dataset_source(self.dataset)
         if self.bounds:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
             _complexity_params(self.bounds)
@@ -124,11 +134,9 @@ class ExperimentConfig:
             if not (name == "bounds" and raw.get(name) is None):  # null: no bounds
                 config_section(raw, name)
         if "learner" in raw:
-            learner_known = set(LearnerSpec.__dataclass_fields__)
-            bad = set(raw["learner"]) - learner_known
-            if bad:
-                raise ConfigError(f"unknown learner fields: {sorted(bad)}")
-            raw["learner"] = LearnerSpec(**raw["learner"])
+            raw["learner"] = LearnerSpec(
+                **config_section(raw, "learner", LearnerSpec.__dataclass_fields__)
+            )
         if "algorithms" in raw:
             if not isinstance(raw["algorithms"], list):
                 raise ConfigError(
@@ -176,10 +184,21 @@ def config_section(raw: dict, name: str, keys=None) -> dict:
     return section
 
 
+def dataset_source(spec: dict) -> str:
+    """The source a ``dataset`` section names; a config error when the
+    section is not a JSON object, the source is unknown, or the section holds
+    a key that source does not read (named as ``dataset.key``)."""
+    source = config_section({"dataset": spec}, "dataset").get("source", "synthetic-classification")
+    keys = DATASET_KEYS.get(source) if isinstance(source, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown dataset source {source!r}")
+    config_section({"dataset": spec}, "dataset", keys)
+    return source
+
+
 def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
     """Build the dataset a config refers to (file or synthetic generator)."""
-    spec = dict(spec)
-    source = spec.get("source", "synthetic-classification")
+    source = dataset_source(spec)
     if source == "file":
         path = spec.get("path")
         if not path or not Path(path).exists():
@@ -193,11 +212,9 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
         noise = float(require_number(spec.get("noise", 0.1), "dataset.noise"))
         data, _ = synth_classification(n, d, noise, seed)
         return data
-    if source == "synthetic-regression":
-        noise_sd = float(require_number(spec.get("noise_sd", 0.1), "dataset.noise_sd"))
-        data, _ = synth_regression(n, d, noise_sd, seed)
-        return data
-    raise ConfigError(f"unknown dataset source {source!r}")
+    noise_sd = float(require_number(spec.get("noise_sd", 0.1), "dataset.noise_sd"))
+    data, _ = synth_regression(n, d, noise_sd, seed)
+    return data
 
 
 def resolve_height(h: int | str, n_rows: int, r: int, n_min: int, tree: bool = True) -> int:
@@ -239,7 +256,12 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
 
 
 def _evaluate(hyp: Hypothesis, data: Dataset, test_idx: np.ndarray) -> float:
-    scores = predict_score(hyp, data.x.take(test_idx, axis=0))
+    """AUC or RMSE of ``hyp`` on the rows at ``test_idx``, scored on the
+    columns ``hyp`` reads; a bias column that ``data`` carries last is left
+    out, and ``hyp`` adds its bias itself.  The rows are taken first: a
+    take from a column slice would copy the whole matrix."""
+    x = data.x.take(test_idx, axis=0)[:, : hyp.dim - hyp.fit_bias]
+    scores = predict_score(hyp, np.ascontiguousarray(x))
     if data.task == "binary":
         return auc(scores, data.y.take(test_idx))
     return rmse(scores, data.y.take(test_idx))
@@ -254,12 +276,25 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     and ``avg`` fold the same partition models, trained once per fold, so
     their rows carry the same ``partition_s`` and ``learning_s``.  Writes a
     JSON report and a flat per-fold CSV when ``config.out`` is set.
+
+    With ``fit_bias`` the rows ``[x, 1]`` replace ``x`` once, here (so the
+    run holds one matrix, not two), and every fold trains on them with
+    ``fit_bias=False``: the bias is the last weight
+    and the regulariser covers it like any other, so this is the same
+    problem bit for bit, and a fold's split is one take.  The hypotheses are
+    re-wrapped with the configured ``fit_bias`` and scored on the columns
+    of ``x``.
     """
     data = resolve_dataset(config.dataset, config.seed)
     spec = config.learner
     r = radon_number(spec.hypothesis_dim(data.dim))
     metric_name = "auc" if data.task == "binary" else "rmse"
     plan = kfold(data, config.cv_folds, config.seed)
+    summary = {"n": data.n_rows, "d": data.dim, "task": data.task}
+    fold_spec = spec
+    if spec.fit_bias:
+        data = Dataset(np.hstack([data.x, np.ones((data.n_rows, 1))]), data.y, data.task)
+        fold_spec = replace(spec, fit_bias=False)
     tree = any(name != "base" for name in config.algorithms)
 
     per_alg: dict[str, list[dict]] = {name: [] for name in config.algorithms}
@@ -278,12 +313,13 @@ def run_benchmark(config: ExperimentConfig) -> dict:
             workers=config.workers,
             shuffle_levels=config.shuffle_levels,
         )
-        fits = _fit_all(config.algorithms, spec, train_split, cfg)
+        fits = _fit_all(config.algorithms, fold_spec, train_split, cfg)
         checksum = None
         if any(_folds(name, h) for name in config.algorithms):
             checksum = partition_checksum(train_idx, r**h, config.seed)
         for name in config.algorithms:
             hyp, times = fits[name]
+            hyp = Hypothesis(weights=hyp.weights, fit_bias=spec.fit_bias)
             row = {**times, "partition_checksum": checksum if _folds(name, h) else None}
             row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
             row["fold"] = fold
@@ -303,7 +339,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
 
     report = {
         "config": config.to_dict(),
-        "dataset": {"n": data.n_rows, "d": data.dim, "task": data.task},
+        "dataset": summary,
         "metric": metric_name,
         "radon_number": r,
         "heights_per_fold": heights,

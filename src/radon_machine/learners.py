@@ -189,8 +189,11 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     its own last step of each epoch when the partitions differ in size.
     Exact squared loss with reg_lambda > 0 skips SGD and solves each run
     of equal-size partitions as one stack.
-    The augmented matrix is filled block by block from ``data.x``; every
-    block must be non-empty, as partition_indices makes them.
+    The partitions' rows are gathered with one take when the spec appends no
+    column (a CV run hands in rows that already carry the bias column);
+    otherwise the augmented matrix is filled block by block from ``data.x``,
+    so no second whole-data copy is held.  Every block must be non-empty, as
+    partition_indices makes them.
     """
     _check_labels(spec, data)
     p = spec.hypothesis_dim(data.dim)
@@ -200,9 +203,12 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
 
     sizes = np.array([len(block) for block in blocks])
     starts = np.cumsum(sizes) - sizes
-    xa = np.ones((int(sizes.sum()), p))  # the bias column, if any, stays 1
-    for block, start in zip(blocks, starts):
-        xa[start : start + len(block), : data.dim] = data.x.take(block, axis=0)
+    if spec.fit_bias:
+        xa = np.ones((int(sizes.sum()), p))  # the bias column stays 1
+        for block, start in zip(blocks, starts):
+            xa[start : start + len(block), : data.dim] = data.x.take(block, axis=0)
+    else:
+        xa = data.x.take(np.concatenate(blocks), axis=0)
     y = data.y.take(np.concatenate(blocks))
     if exact:
         # one stacked solve per contiguous run of equal-size partitions;
@@ -261,12 +267,20 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
     partitions with ``y`` of shape (n,) or (k, n).  A stack takes the same
     BLAS syrk/gemv and LAPACK gesv calls per matrix as a single matrix, so
     each of its rows has the bits of a separate call.  ``reg_lambda == 0``
-    takes lstsq and a single matrix only.
+    takes lstsq and a single matrix only.  Data whose Gram matrix or X^T y
+    overflows to a non-finite value is a DataError.
     """
     if reg_lambda > 0.0:
         xt = np.swapaxes(xa, -1, -2)
-        gram = xt @ xa + reg_lambda * np.eye(xa.shape[-1])
-        return np.linalg.solve(gram, xt @ y[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = xt @ xa + reg_lambda * np.eye(xa.shape[-1])
+            xty = xt @ y[..., None]
+        if not (np.isfinite(gram).all() and np.isfinite(xty).all()):
+            raise DataError(
+                "the data's values overflow the squared-loss normal equations "
+                "(X^T X or X^T y is not finite)"
+            )
+        return np.linalg.solve(gram, xty)[..., 0]
     return np.linalg.lstsq(xa, y, rcond=None)[0]
 
 

@@ -1,6 +1,7 @@
 """tools/bench_condense.py: medians, quartiles, spreads and the one-tree, one-host rule."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +110,73 @@ def test_refuses_runs_of_two_trees_or_hosts(key, other):
 def test_refuses_no_results():
     with pytest.raises(ValueError, match="no end-to-end result files"):
         bench_condense.condense([], "t4")
+
+
+def test_per_seed_holds_every_runs_end_to_end_values():
+    results = [_run("cv-squared", 2, 3.0, 120.0), _run("cv-squared", 1, 5.0, 130.0)]
+    cv = bench_condense.condense(results, "t6")["workloads"]["cv-squared"]
+    assert cv["per_seed"] == {
+        "1": {"op_vs_ref": 5.0, "peak_rss_mb": 130.0, "quality": 0.75},
+        "2": {"op_vs_ref": 3.0, "peak_rss_mb": 120.0, "quality": 0.75},
+    }
+
+
+BETTER = {"op_vs_ref": "lower", "peak_rss_mb": "lower", "quality": "higher"}
+
+
+def _condensed(tag, ratios, rss=110.0):
+    results = [_run("cv-squared", seed, ratio, rss) for seed, ratio in enumerate(ratios, 1)]
+    return bench_condense.condense(results, tag)
+
+
+def test_compare_counts_seed_matched_wins_and_the_parent_spread():
+    parent = _condensed("p", [3.0, 3.1, 2.9, 3.2, 3.0, 3.05, 2.95, 3.1, 3.0, 3.15])
+    change = _condensed("c", [2.8, 2.9, 2.95, 3.0, 2.8, 2.85, 2.75, 2.9, 2.8, 2.9])
+    rows = {row["metric"]: row for row in bench_condense.compare(parent, change, BETTER)}
+    ratio = rows["op_vs_ref"]
+    assert ratio["pairs"] == 10
+    assert ratio["wins"] == 9  # seed 3: 2.9 -> 2.95 lost
+    assert ratio["parent_median"] == pytest.approx(3.025)
+    assert ratio["change_median"] == pytest.approx(2.875)
+    q1, q3 = np.percentile([3.0, 3.1, 2.9, 3.2, 3.0, 3.05, 2.95, 3.1, 3.0, 3.15], [25, 75])
+    assert ratio["parent_iqr"] == pytest.approx(q3 - q1)
+    assert ratio["gain"]
+    # equal values win no pair, whichever way the metric points
+    assert rows["quality"]["wins"] == 0 and not rows["quality"]["gain"]
+    assert rows["peak_rss_mb"]["wins"] == 0
+
+
+def test_compare_needs_the_gap_to_exceed_the_parent_spread_and_nine_tenths():
+    ratios = [3.0, 3.4, 2.6, 3.3, 2.7, 3.2, 2.8, 3.1, 2.9, 3.0]
+    parent = _condensed("p", ratios)
+    narrow = _condensed("c", [value - 0.01 for value in ratios])
+    row = bench_condense.compare(parent, narrow, BETTER)[0]
+    assert row["wins"] == 10 and not row["gain"]
+    wide = _condensed("c", [2.0] * 8 + [3.5, 3.5])
+    row = bench_condense.compare(parent, wide, BETTER)[0]
+    assert row["wins"] == 8 and not row["gain"]
+    higher = _condensed("c", [2.0] * 10, rss=100.0)
+    rows = {row["metric"]: row for row in bench_condense.compare(parent, higher, BETTER)}
+    assert rows["peak_rss_mb"]["wins"] == 10
+    assert rows["op_vs_ref"]["gain"]
+
+
+def test_compare_refuses_files_without_per_seed_values():
+    parent = _condensed("p", [3.0, 3.1])
+    del parent["workloads"]["cv-squared"]["per_seed"]
+    with pytest.raises(ValueError, match="no per_seed values"):
+        bench_condense.compare(parent, _condensed("c", [2.0, 2.1]), BETTER)
+
+
+def test_compare_command_prints_one_row_per_metric(tmp_path, capsys):
+    paths = []
+    for tag, ratios in (("p", [3.0, 3.1, 2.9]), ("c", [2.5, 2.6, 2.4])):
+        path = tmp_path / f"BENCH_{tag}.json"
+        path.write_text(json.dumps(_condensed(tag, ratios)))
+        paths.append(str(path))
+    assert bench_condense.main(["--compare", *paths]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + 3  # header + op_vs_ref, peak_rss_mb, quality
+    ratio = next(line for line in lines if "op_vs_ref" in line).split()
+    assert ratio[:3] == ["cv-squared", "op_vs_ref", "lower"]
+    assert ratio[-2:] == ["3/3", "yes"]

@@ -567,3 +567,66 @@ class TestNonFiniteLearnerField:
         assert main(args) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDatasetAndLearnerKeys:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"dataset": {"source": "synthetic-classification", "n": 2000, "nosie": 0.5}},
+             "dataset.nosie"),
+            ({"dataset": {"source": "synthetic-regression", "noise": 0.5}}, "dataset.noise"),
+            ({"dataset": {"source": "file", "path": "data.csv", "d": 3}}, "dataset.d"),
+            ({"learner": {"loss": "squared", "x": 1}}, "learner.x"),
+        ],
+        ids=["nosie", "regression-noise", "file-d", "learner-x"],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, monkeypatch, capsys, payload, field):
+        assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: unknown config fields: ['{field}']" in err
+        assert out == ""
+
+    def test_train_on_synthetic_regression(self, tmp_path):
+        out = tmp_path / "m.json"
+        args = ["train", "--synth", "regression", "--n", "500", "--d", "2", "--loss", "squared",
+                "--algorithm", "base", "--noise-sd", "0.3", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["task"] == "regression"
+
+
+def _write_overflowing_csv(tmp_path, rows=400):
+    """A finite CSV whose one cell of 1e308 overflows X^T X."""
+    path = _write_tiny_csv(tmp_path, rows=rows)
+    lines = path.read_text().splitlines()
+    lines[1] = "1e308," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestSquaredOverflowIsDataError:
+    @pytest.mark.parametrize("algorithm", ["base", "radon"])
+    def test_benchmark(self, tmp_path, capsys, algorithm):
+        config = {
+            "dataset": {"source": "file", "path": str(_write_overflowing_csv(tmp_path))},
+            "learner": {"loss": "squared", "reg_lambda": 1},
+            "algorithms": [algorithm],
+            "cv_folds": 2,
+            "n_min": 10,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["benchmark", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: the data's values overflow the squared-loss normal equations" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
+    def test_train(self, tmp_path, capsys, algorithm):
+        out = tmp_path / "m.json"
+        args = ["train", "--data", str(_write_overflowing_csv(tmp_path)), "--loss", "squared",
+                "--reg-lambda", "1", "--algorithm", algorithm, "--n-min", "10", "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "data error: the data's values overflow the squared-loss normal equations" in err
+        assert not out.exists()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from radon_machine import (
     ComplexityParams,
     ConfigError,
     DataError,
+    Dataset,
     ExperimentConfig,
     LearnerSpec,
     RadonConfig,
@@ -23,7 +25,7 @@ from radon_machine import (
     synth_classification,
     train,
 )
-from radon_machine import aggregation, experiments, kfold
+from radon_machine import aggregation, experiments, kfold, learners
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
 
 SMALL_BENCH = dict(
@@ -434,3 +436,126 @@ class TestBoundsRangeNamesSection:
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(**{**SMALL_BENCH, "bounds": bounds})
         assert str(info.value).startswith(message)
+
+
+def _with_ones(data: Dataset) -> Dataset:
+    """``data`` with a column of ones appended to its features."""
+    x1 = np.hstack([data.x, np.ones((data.n_rows, 1))])
+    return Dataset(x=x1, y=data.y, task=data.task)
+
+
+def _timing_stripped_digest(report: dict) -> str:
+    """SHA-256 of a report without its wall-time fields and the speed-up."""
+
+    def strip(node):
+        if isinstance(node, dict):
+            return {
+                key: strip(value)
+                for key, value in node.items()
+                if not key.endswith(("_s", "_s_mean")) and key != "speedup_base_over_radon"
+            }
+        if isinstance(node, list):
+            return [strip(item) for item in node]
+        return node
+
+    return hashlib.sha256(json.dumps(strip(report), sort_keys=True).encode()).hexdigest()
+
+
+# Digests of run_benchmark reports as the code wrote them when every fold
+# still appended its own bias column (numpy 2.4, x86-64).
+PINNED_REPORTS = {
+    "squared-bias": (
+        {},
+        "d34e78686520b3f4f58434636e752b562d544bae3858bd9367b4c3a91747d76c",
+    ),
+    "logistic-bias-shuffled": (
+        {"learner": LearnerSpec(loss="logistic", epochs=1), "shuffle_levels": True},
+        "e4e8c16d303c773cf7cae7d95ec43a3ae4d6cd02ed264e6b8695bca2174e489e",
+    ),
+    "hinge-no-bias": (
+        {
+            "dataset": {"source": "synthetic-classification", "n": 3001, "d": 2, "noise": 0.1},
+            "learner": LearnerSpec(loss="hinge", epochs=1, fit_bias=False),
+        },
+        "bd0de1fab2bf3333b94d2edc1a60240cc8a9f65f4484e09eeaa91ec5165c2fec",
+    ),
+}
+
+
+class TestBiasColumnOncePerRun:
+    """A CV run trains every fold on one [x, 1] copy with fit_bias=False,
+    which must give the bits of fit_bias=True on x."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [900, 907], ids=["equal", "ragged"])
+    @pytest.mark.parametrize(
+        "loss, reg_lambda",
+        [("squared", 0.1), ("squared", 0.0), ("logistic", 1e-3), ("hinge", 1e-3)],
+    )
+    def test_bias_on_x_equals_no_bias_on_x_and_ones(self, loss, reg_lambda, n, workers):
+        spec = LearnerSpec(loss=loss, reg_lambda=reg_lambda, epochs=1)
+        plain = replace(spec, fit_bias=False)
+        data, _ = synth_classification(n, 3, 0.1, seed=n)
+        ones = _with_ones(data)
+        assert train(spec, data, 5).weights.tobytes() == train(plain, ones, 5).weights.tobytes()
+        with_bias, _ = aggregation.train_on_partitions(spec, data, 9, 5, workers=workers)
+        appended, _ = aggregation.train_on_partitions(plain, ones, 9, 5, workers=workers)
+        assert with_bias.tobytes() == appended.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_digest_is_pinned(self, name):
+        overrides, digest = PINNED_REPORTS[name]
+        report = run_benchmark(ExperimentConfig(**{**SMALL_BENCH, **overrides}))
+        assert _timing_stripped_digest(report) == digest
+
+    @pytest.mark.parametrize("h", ["max", 0])
+    def test_no_fold_appends_a_bias_column(self, monkeypatch, h):
+        original = learners._augmented
+
+        def refuse(x, fit_bias):
+            if fit_bias:
+                raise AssertionError("a bias column was appended")
+            return original(x, fit_bias)
+
+        monkeypatch.setattr(learners, "_augmented", refuse)
+        config = ExperimentConfig(**{**SMALL_BENCH, "h": h})
+        assert config.learner.fit_bias
+        report = run_benchmark(config)
+        assert len(report["algorithms"]["base"]["per_fold"]) == config.cv_folds
+
+
+class TestConfigSectionKeys:
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [
+            ({"source": "synthetic-classification", "n": 2000, "nosie": 0.5}, "nosie"),
+            ({"n": 2000, "noise_sd": 0.5}, "noise_sd"),
+            ({"source": "synthetic-regression", "noise": 0.5}, "noise"),
+            ({"source": "file", "path": "data.csv", "seed": 3}, "seed"),
+        ],
+    )
+    def test_unknown_dataset_key_is_named(self, dataset, key):
+        message = f"unknown config fields: ['dataset.{key}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict({"dataset": dataset})
+
+    @pytest.mark.parametrize(
+        "source, keys",
+        [
+            ("file", ("path", "format")),
+            ("synthetic-classification", ("n", "d", "noise", "seed")),
+            ("synthetic-regression", ("n", "d", "noise_sd", "seed")),
+        ],
+    )
+    def test_every_key_a_source_reads_is_accepted(self, source, keys):
+        dataset = {"source": source, **{key: 1 for key in keys}}
+        assert ExperimentConfig.from_dict({"dataset": dataset}).dataset == dataset
+
+    def test_unknown_source_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown dataset source 'synthetic'"):
+            ExperimentConfig.from_dict({"dataset": {"source": "synthetic"}})
+
+    def test_unknown_learner_key_is_named(self):
+        message = "unknown config fields: ['learner.epoch', 'learner.x']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict({"learner": {"loss": "squared", "x": 1, "epoch": 2}})
