@@ -5,9 +5,9 @@
 fold the weight matrix of one train_on_partitions call.  ``radon`` folds
 it with one stacked Radon solve per level (aggregation._fold_tree), so
 every CV fold and the CLI's ``train`` make no radon_point call per group;
-only radon_machine does, for its per-level trace.  ``run_benchmark`` builds
-the rows ``[x, 1]`` once per run and trains every fold on them with no bias
-to append, so a fold's split is one take and no fold copies its rows again.
+only radon_machine does, for its per-level trace.  ``run_benchmark`` trains
+every fold on the rows of ``learners.with_bias_column``, built once per run,
+so a fold's split is one take and no fold copies its rows again.
 
 Reports are plain dicts written as pretty JSON with sorted keys plus a flat
 CSV of per-fold rows, so re-running a configuration with the same seed
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,14 @@ from .aggregation import (
 from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
 from .errors import ConfigError, require_number, require_seed
-from .learners import Hypothesis, LearnerSpec, predict_score, train
+from .learners import (
+    Hypothesis,
+    LearnerSpec,
+    predict_score,
+    train,
+    with_bias_column,
+    without_bias_column,
+)
 from .metrics import auc, rmse
 from .radon_points import radon_number
 
@@ -255,13 +262,14 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
     return digest.hexdigest()
 
 
-def _evaluate(hyp: Hypothesis, data: Dataset, test_idx: np.ndarray) -> float:
-    """AUC or RMSE of ``hyp`` on the rows at ``test_idx``, scored on the
-    columns ``hyp`` reads; a bias column that ``data`` carries last is left
-    out, and ``hyp`` adds its bias itself.  The rows are taken first: a
-    take from a column slice would copy the whole matrix."""
-    x = data.x.take(test_idx, axis=0)[:, : hyp.dim - hyp.fit_bias]
-    scores = predict_score(hyp, np.ascontiguousarray(x))
+def _evaluate(hyp: Hypothesis, data: Dataset, test_idx: np.ndarray, spec=None) -> float:
+    """AUC or RMSE of ``hyp`` on the rows at ``test_idx``.  Pass ``spec``
+    when ``hyp`` and ``data`` are a fit on, and the rows of,
+    ``with_bias_column(spec, ...)``, so they are scored as under ``spec``."""
+    x = data.x.take(test_idx, axis=0)
+    if spec is not None:
+        hyp, x = without_bias_column(spec, hyp, x)
+    scores = predict_score(hyp, x)
     if data.task == "binary":
         return auc(scores, data.y.take(test_idx))
     return rmse(scores, data.y.take(test_idx))
@@ -277,13 +285,10 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     their rows carry the same ``partition_s`` and ``learning_s``.  Writes a
     JSON report and a flat per-fold CSV when ``config.out`` is set.
 
-    With ``fit_bias`` the rows ``[x, 1]`` replace ``x`` once, here (so the
-    run holds one matrix, not two), and every fold trains on them with
-    ``fit_bias=False``: the bias is the last weight
-    and the regulariser covers it like any other, so this is the same
-    problem bit for bit, and a fold's split is one take.  The hypotheses are
-    re-wrapped with the configured ``fit_bias`` and scored on the columns
-    of ``x``.
+    Every fold trains on the rows and spec of ``with_bias_column``, which
+    replace ``x`` once per run (so the run holds one matrix, not two): with
+    ``fit_bias`` a fold's split is one take of rows that already carry the
+    bias column, and no fit appends it again.
     """
     data = resolve_dataset(config.dataset, config.seed)
     spec = config.learner
@@ -291,10 +296,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     metric_name = "auc" if data.task == "binary" else "rmse"
     plan = kfold(data, config.cv_folds, config.seed)
     summary = {"n": data.n_rows, "d": data.dim, "task": data.task}
-    fold_spec = spec
-    if spec.fit_bias:
-        data = Dataset(np.hstack([data.x, np.ones((data.n_rows, 1))]), data.y, data.task)
-        fold_spec = replace(spec, fit_bias=False)
+    fold_spec, data = with_bias_column(spec, data)
     tree = any(name != "base" for name in config.algorithms)
 
     per_alg: dict[str, list[dict]] = {name: [] for name in config.algorithms}
@@ -319,11 +321,10 @@ def run_benchmark(config: ExperimentConfig) -> dict:
             checksum = partition_checksum(train_idx, r**h, config.seed)
         for name in config.algorithms:
             hyp, times = fits[name]
-            hyp = Hypothesis(weights=hyp.weights, fit_bias=spec.fit_bias)
             row = {**times, "partition_checksum": checksum if _folds(name, h) else None}
             row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
             row["fold"] = fold
-            row["metric"] = _evaluate(hyp, data, test_idx)
+            row["metric"] = _evaluate(hyp, data, test_idx, spec)
             per_alg[name].append(row)
 
     algorithms = {}

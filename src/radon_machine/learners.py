@@ -31,7 +31,7 @@ equal-size partitions.  Diverged SGD raises ShapeError naming
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,6 +138,33 @@ def _augmented(x: np.ndarray, fit_bias: bool) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
+def with_bias_column(spec: LearnerSpec, data: Dataset) -> tuple[LearnerSpec, Dataset]:
+    """The spec and data to train subsets of ``data`` on, many times over:
+    with ``fit_bias``, ``spec`` without it and the rows ``[x, 1]``, built
+    once.  That is the same problem bit for bit, since the bias is the last
+    weight and the regulariser covers it like any other, so a subset is one
+    take and no fit appends a column.  without_bias_column gives back what
+    predict_score takes under ``spec``.
+    """
+    if not spec.fit_bias:
+        return spec, data
+    return replace(spec, fit_bias=False), Dataset(_augmented(data.x, True), data.y, data.task)
+
+
+def without_bias_column(
+    spec: LearnerSpec, h: Hypothesis, x: np.ndarray
+) -> tuple[Hypothesis, np.ndarray]:
+    """``(h, x)`` as predict_score takes them under ``spec``, for weights
+    ``h`` trained on, and rows ``x`` taken from, ``with_bias_column(spec,
+    data)``: with ``fit_bias``, the last weight is the bias again and the
+    column of ones is dropped, so the scores have the bits that the same
+    rows of ``data`` give.
+    """
+    if not spec.fit_bias:
+        return h, x
+    return Hypothesis(h.weights, fit_bias=True), np.ascontiguousarray(x[:, :-1])
+
+
 def _check_labels(spec: LearnerSpec, data: Dataset) -> None:
     if data.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
@@ -189,10 +216,9 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     its own last step of each epoch when the partitions differ in size.
     Exact squared loss with reg_lambda > 0 skips SGD and solves each run
     of equal-size partitions as one stack.
-    The partitions' rows are gathered with one take when the spec appends no
-    column (a CV run hands in rows that already carry the bias column);
-    otherwise the augmented matrix is filled block by block from ``data.x``,
-    so no second whole-data copy is held.  Every block must be non-empty, as
+    The partitions' rows are gathered with one take, then the bias column is
+    appended if the spec asks for it (a CV run hands in rows that already
+    carry it; see with_bias_column).  Every block must be non-empty, as
     partition_indices makes them.
     """
     _check_labels(spec, data)
@@ -203,13 +229,9 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
 
     sizes = np.array([len(block) for block in blocks])
     starts = np.cumsum(sizes) - sizes
-    if spec.fit_bias:
-        xa = np.ones((int(sizes.sum()), p))  # the bias column stays 1
-        for block, start in zip(blocks, starts):
-            xa[start : start + len(block), : data.dim] = data.x.take(block, axis=0)
-    else:
-        xa = data.x.take(np.concatenate(blocks), axis=0)
-    y = data.y.take(np.concatenate(blocks))
+    order = np.concatenate(blocks)
+    xa = _augmented(data.x.take(order, axis=0), spec.fit_bias)
+    y = data.y.take(order)
     if exact:
         # one stacked solve per contiguous run of equal-size partitions;
         # partition_indices makes at most two runs

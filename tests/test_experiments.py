@@ -444,8 +444,8 @@ def _with_ones(data: Dataset) -> Dataset:
     return Dataset(x=x1, y=data.y, task=data.task)
 
 
-def _timing_stripped_digest(report: dict) -> str:
-    """SHA-256 of a report without its wall-time fields and the speed-up."""
+def _timing_stripped(report: dict) -> dict:
+    """A report without its wall-time fields and the speed-up."""
 
     def strip(node):
         if isinstance(node, dict):
@@ -458,27 +458,24 @@ def _timing_stripped_digest(report: dict) -> str:
             return [strip(item) for item in node]
         return node
 
-    return hashlib.sha256(json.dumps(strip(report), sort_keys=True).encode()).hexdigest()
+    return strip(report)
 
 
-# Digests of run_benchmark reports as the code wrote them when every fold
-# still appended its own bias column (numpy 2.4, x86-64).
-PINNED_REPORTS = {
-    "squared-bias": (
-        {},
-        "d34e78686520b3f4f58434636e752b562d544bae3858bd9367b4c3a91747d76c",
-    ),
-    "logistic-bias-shuffled": (
-        {"learner": LearnerSpec(loss="logistic", epochs=1), "shuffle_levels": True},
-        "e4e8c16d303c773cf7cae7d95ec43a3ae4d6cd02ed264e6b8695bca2174e489e",
-    ),
-    "hinge-no-bias": (
-        {
-            "dataset": {"source": "synthetic-classification", "n": 3001, "d": 2, "noise": 0.1},
-            "learner": LearnerSpec(loss="hinge", epochs=1, fit_bias=False),
-        },
-        "bd0de1fab2bf3333b94d2edc1a60240cc8a9f65f4484e09eeaa91ec5165c2fec",
-    ),
+# run_benchmark configs whose reports must not depend on where the bias
+# column is appended.
+BIAS_CONFIGS = {
+    "squared-bias": {},
+    "logistic-bias-shuffled": {
+        "learner": LearnerSpec(loss="logistic", epochs=1),
+        "shuffle_levels": True,
+    },
+    "hinge-no-bias": {
+        "dataset": {"source": "synthetic-classification", "n": 3001, "d": 2, "noise": 0.1},
+        "learner": LearnerSpec(loss="hinge", epochs=1, fit_bias=False),
+    },
+    "squared-regression-bias": {
+        "dataset": {"source": "synthetic-regression", "n": 3000, "d": 3, "noise_sd": 0.5},
+    },
 }
 
 
@@ -502,26 +499,32 @@ class TestBiasColumnOncePerRun:
         appended, _ = aggregation.train_on_partitions(plain, ones, 9, 5, workers=workers)
         assert with_bias.tobytes() == appended.tobytes()
 
-    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-    def test_report_digest_is_pinned(self, name):
-        overrides, digest = PINNED_REPORTS[name]
-        report = run_benchmark(ExperimentConfig(**{**SMALL_BENCH, **overrides}))
-        assert _timing_stripped_digest(report) == digest
+    @pytest.mark.parametrize("name", sorted(BIAS_CONFIGS))
+    def test_report_equals_a_bias_column_per_fit(self, monkeypatch, name):
+        config = ExperimentConfig(**{**SMALL_BENCH, **BIAS_CONFIGS[name]})
+        once = run_benchmark(config)
+        # Without the once-per-run column every fit appends its own, as
+        # train() and the kernel do for a spec with fit_bias.
+        monkeypatch.setattr(experiments, "with_bias_column", lambda spec, data: (spec, data))
+        monkeypatch.setattr(experiments, "without_bias_column", lambda spec, h, x: (h, x))
+        per_fit = run_benchmark(config)
+        assert _timing_stripped(once) == _timing_stripped(per_fit)
 
     @pytest.mark.parametrize("h", ["max", 0])
-    def test_no_fold_appends_a_bias_column(self, monkeypatch, h):
+    def test_the_bias_column_is_appended_once_per_run(self, monkeypatch, h):
         original = learners._augmented
+        appended = []
 
-        def refuse(x, fit_bias):
-            if fit_bias:
-                raise AssertionError("a bias column was appended")
+        def counting(x, fit_bias):
+            appended.append(fit_bias)
             return original(x, fit_bias)
 
-        monkeypatch.setattr(learners, "_augmented", refuse)
+        monkeypatch.setattr(learners, "_augmented", counting)
         config = ExperimentConfig(**{**SMALL_BENCH, "h": h})
         assert config.learner.fit_bias
         report = run_benchmark(config)
         assert len(report["algorithms"]["base"]["per_fold"]) == config.cv_folds
+        assert appended.count(True) == 1
 
 
 class TestConfigSectionKeys:
