@@ -162,7 +162,7 @@ def without_bias_column(
     """
     if not spec.fit_bias:
         return h, x
-    return Hypothesis(h.weights, fit_bias=True), np.ascontiguousarray(x[:, :-1])
+    return Hypothesis(h.weights, fit_bias=True), x[:, :-1]
 
 
 def _check_labels(spec: LearnerSpec, data: Dataset) -> None:
