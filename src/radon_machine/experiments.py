@@ -38,12 +38,7 @@ from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
 from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
 from .errors import ConfigError, require_number, require_seed
 from .learners import (
-    Hypothesis,
-    LearnerSpec,
-    predict_score,
-    train,
-    with_bias_column,
-    without_bias_column,
+    Hypothesis, LearnerSpec, predict_score, train, with_bias_column, without_bias_column
 )
 from .metrics import auc, rmse
 from .radon_points import radon_number
@@ -262,7 +257,9 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
     return digest.hexdigest()
 
 
-def _evaluate(hyp: Hypothesis, data: Dataset, test_idx: np.ndarray, spec=None) -> float:
+def _evaluate(
+    hyp: Hypothesis, data: Dataset, test_idx: np.ndarray, spec: LearnerSpec | None = None
+) -> float:
     """AUC or RMSE of ``hyp`` on the rows at ``test_idx``.  Pass ``spec``
     when ``hyp`` and ``data`` are a fit on, and the rows of,
     ``with_bias_column(spec, ...)``, so they are scored as under ``spec``."""

@@ -25,7 +25,9 @@ and instances share no state, so any number may run concurrently.
 returns the same bits as one ``train`` call per partition: SGD runs in
 lock-step, and exact squared-loss solves go as one stacked solve per run of
 equal-size partitions.  Diverged SGD raises ShapeError naming
-``learning_rate0``.
+``learning_rate0``.  ``with_bias_column`` lets many fits share one copy of
+the rows with the bias column appended, and ``without_bias_column`` scores
+their weights as the configured spec would.
 """
 
 from __future__ import annotations
