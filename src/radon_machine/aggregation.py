@@ -20,10 +20,9 @@ per level: experiments' CV folds and ``fit`` take that path.  Only
 ``radon_machine``'s tree (``_aggregate_levels``) still takes one
 radon_point call per group, which gives the same bits, because it reports
 each level's pin fallbacks and certificate residuals and the benchmark
-self-test counts its radon_point spans.  Both draw each level's shuffle
-from ``_level_orders``.  Partitions are read-only views of one
-permutation, cached per (rows, seed), so a CV fold draws it once to train
-and to checksum.
+self-test counts its radon_point spans.  Partitions are read-only views
+of one permutation, cached per (rows, seed), so a CV fold draws it once
+to train and to checksum.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ from .radon_points import _radon_stack, _violations, radon_number, radon_point
 class RadonConfig:
     """Aggregation-tree parameters.
 
-    r must equal the hypothesis-space dimension plus 2.  ``shuffle_levels``
-    re-permutes the hypothesis list with a seeded generator before each
-    aggregation round; the default keeps creation order, which is already
-    exchangeable because the partitions are a uniform shuffle.
+    r must equal the hypothesis-space dimension plus 2.  Every round folds
+    the hypotheses in creation order, whose contiguous groups of r are
+    already independent because the partitions are a uniform shuffle.
     """
 
     r: int
@@ -55,7 +53,6 @@ class RadonConfig:
     seed: int
     n_min: int = 100
     workers: int = 1
-    shuffle_levels: bool = False
 
     def __post_init__(self):
         require_seed(self.seed)
@@ -183,22 +180,10 @@ def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
     return point.reshape(*trees, rows // r, dim)
 
 
-def _level_orders(rows: int, cfg: RadonConfig):
-    """Yield, for each of cfg.h levels, the permutation its shuffle applies
-    to the level's rows (None unless cfg.shuffle_levels), all drawn from
-    one generator seeded by (cfg.seed, 0x5EED)."""
-    level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
-    for _ in range(cfg.h):
-        yield level_rng.permutation(rows) if cfg.shuffle_levels else None
-        rows //= cfg.r
-
-
 def _fold_tree(points: np.ndarray, cfg: RadonConfig) -> np.ndarray:
     """The (1, dim) root of _aggregate_levels' tree, with the same bits, from
     one stacked _radon_level call per level and no trace."""
-    for order in _level_orders(points.shape[0], cfg):
-        if order is not None:
-            points = points[order]
+    for _ in range(cfg.h):
         points = _radon_level(points, cfg.r)
     return points
 
@@ -216,9 +201,7 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
     _fold_tree.
     """
     trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
-    for order in _level_orders(points.shape[0], cfg):
-        if order is not None:
-            points = points[order]
+    for _ in range(cfg.h):
         groups = points.reshape(-1, cfg.r, points.shape[1])
         certs = [radon_point(group) for group in groups]
         lams = np.array([cert.lam for cert in certs])

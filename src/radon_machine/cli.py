@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .datasets import load_dataset
+from .datasets import TASKS, load_dataset
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
@@ -316,18 +316,24 @@ def _cmd_predict(args) -> int:
     try:
         model = json.loads(model_path.read_text())
         hyp = Hypothesis(
-            weights=np.asarray(model["weights"], dtype=np.float64),
-            fit_bias=bool(model["fit_bias"]),
+            weights=np.asarray(model["weights"], dtype=np.float64), fit_bias=model["fit_bias"]
         )
+        task = model.get("task", "binary")
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"model file {args.model} is malformed: {exc}") from exc
+    if not isinstance(hyp.fit_bias, bool):
+        raise ConfigError(
+            f"model file {args.model}: fit_bias must be true or false, got {hyp.fit_bias!r}"
+        )
+    if task not in TASKS:
+        raise ConfigError(f"model file {args.model}: task must be one of {TASKS}, got {task!r}")
 
     data_path = Path(args.data)
     if not data_path.exists():
         raise ConfigError(f"dataset path not resolvable: {args.data}")
     data = load_dataset(data_path, args.format)
     scores = predict_score(hyp, data.x)
-    binary = model.get("task", "binary") == "binary"
+    binary = task == "binary"
     rows = [
         {
             "index": i,

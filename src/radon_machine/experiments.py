@@ -88,7 +88,6 @@ class ExperimentConfig:
     cv_folds: int = 10
     h: int | str = "max"
     n_min: int = 100
-    shuffle_levels: bool = False
     seed: int = 0
     workers: int = 1
     out: str | None = None
@@ -113,8 +112,6 @@ class ExperimentConfig:
                 raise ConfigError("h must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not isinstance(self.shuffle_levels, bool):
-            raise ConfigError(f"shuffle_levels must be true or false, got {self.shuffle_levels!r}")
         dataset_source(self.dataset)
         if self.bounds:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
@@ -127,7 +124,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        raw.pop("task", None)
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -304,14 +300,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         test_idx = plan.test_indices(fold)
         h = resolve_height(config.h, train_split.n_rows, r, config.n_min, tree=tree)
         heights.append(h)
-        cfg = RadonConfig(
-            r=r,
-            h=h,
-            seed=config.seed,
-            n_min=config.n_min,
-            workers=config.workers,
-            shuffle_levels=config.shuffle_levels,
-        )
+        cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min, workers=config.workers)
         fits = _fit_all(config.algorithms, fold_spec, train_split, cfg)
         checksum = None
         if any(_folds(name, h) for name in config.algorithms):

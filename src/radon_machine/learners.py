@@ -216,11 +216,12 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     partition keeps its own per-epoch permutations, its own step-size and
     regulariser constants from its own row count, and stops updating after
     its own last step of each epoch when the partitions differ in size.
-    Exact squared loss with reg_lambda > 0 skips SGD and solves each run
-    of equal-size partitions as one stack.
-    The partitions' rows are gathered with one take, then the bias column is
+    SGD reads each step's rows by row id from ``data`` with the bias column
     appended if the spec asks for it (a CV run hands in rows that already
-    carry it; see with_bias_column).  Every block must be non-empty, as
+    carry it; see with_bias_column), so it holds at most one copy of the
+    rows.  Exact squared loss with reg_lambda > 0 skips SGD: it gathers the
+    partitions' rows with one take and solves each run of equal-size
+    partitions as one stack.  Every block must be non-empty, as
     partition_indices makes them.
     """
     _check_labels(spec, data)
@@ -230,11 +231,11 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
         return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
     sizes = np.array([len(block) for block in blocks])
-    starts = np.cumsum(sizes) - sizes
-    order = np.concatenate(blocks)
-    xa = _augmented(data.x.take(order, axis=0), spec.fit_bias)
-    y = data.y.take(order)
     if exact:
+        starts = np.cumsum(sizes) - sizes
+        order = np.concatenate(blocks)
+        xa = _augmented(data.x.take(order, axis=0), spec.fit_bias)
+        y = data.y.take(order)
         # one stacked solve per contiguous run of equal-size partitions;
         # partition_indices makes at most two runs
         w = np.empty((len(blocks), p))
@@ -249,6 +250,7 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
         if not np.isfinite(w).all():
             raise ShapeError("weights contain non-finite values")  # as Hypothesis would
         return w
+    xa = _augmented(data.x, spec.fit_bias)
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     w = np.zeros((len(blocks), p))
@@ -261,14 +263,14 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     rows = np.zeros((int(sizes.max()), len(blocks)), dtype=np.intp)
     for epoch in range(spec.epochs):
         for k, rng in enumerate(rngs):
-            rows[: sizes[k], k] = starts[k] + rng.permutation(sizes[k])
+            rows[: sizes[k], k] = blocks[k].take(rng.permutation(sizes[k]))
         t0 = epoch * sizes  # each partition's step count at the epoch start
         for s in range(rows.shape[0]):
             live = slice(None) if s < all_live else np.flatnonzero(sizes > s)
             idx = rows[s, live]
             xt = xa.take(idx, axis=0)
             wl = w[live]
-            g = loss_derivatives(spec.loss, (xt * wl).sum(axis=1), y.take(idx))
+            g = loss_derivatives(spec.loss, (xt * wl).sum(axis=1), data.y.take(idx))
             eta = lr0 / (1.0 + decay[live] * (t0[live] + s))
             wl -= eta[:, None] * (g[:, None] * xt + reg_step[live, None] * wl)
             if s >= all_live:

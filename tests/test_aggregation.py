@@ -4,6 +4,7 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from radon_machine import (
     training_seeds,
 )
 from radon_machine.aggregation import _aggregate_levels, _fold_tree, _radon_level
-from radon_machine.learners import EXACT_SOLVE_MAX_DIM, _solve_normal_equations
+from radon_machine.learners import EXACT_SOLVE_MAX_DIM, _solve_normal_equations, _train_block
 
 RIDGE = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=False)
 RIDGE_BIAS = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=True)
@@ -141,13 +142,6 @@ class TestRadonMachine:
             hyp, _ = radon_machine(spec, data, cfg)
             outputs.append(hyp.weights)
         assert np.array_equal(outputs[0], outputs[1])
-
-    def test_shuffled_levels_still_deterministic(self):
-        data, _ = synth_classification(800, 2, 0.1, seed=3)
-        cfg = RadonConfig(r=5, h=1, seed=2, n_min=100, shuffle_levels=True)
-        a, _ = radon_machine(RIDGE_BIAS, data, cfg)
-        b, _ = radon_machine(RIDGE_BIAS, data, cfg)
-        assert np.array_equal(a.weights, b.weights)
 
     def test_radon_number_mismatch_rejected(self):
         data, _ = synth_classification(500, 2, 0.1, seed=0)
@@ -276,6 +270,20 @@ class TestInProcessTraining:
             for ix, s in zip(blocks, training_seeds(seed, parts))
         ]
         assert np.array_equal(weights, np.stack(expected))
+
+    def test_sgd_holds_one_copy_of_the_rows(self):
+        # SGD reads its rows by id from one [x, 1] copy; a gathered copy of
+        # x with the column appended after it would hold two
+        data, _ = synth_classification(20_000, 8, 0.1, seed=2)
+        spec = LearnerSpec(loss="logistic", epochs=1)
+        blocks = partition_indices(data.n_rows, 121, 3)
+        tracemalloc.start()
+        try:
+            _train_block(spec, data, blocks, training_seeds(3, 121))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.n_rows * (data.dim + 1) * 8
 
     def test_diverged_sgd_names_learning_rate_and_partition(self):
         wide, _ = synth_regression(200, EXACT_SOLVE_MAX_DIM + 88, 0.1, seed=3)
@@ -494,34 +502,25 @@ class TestCachedPermutation:
             assert np.array_equal(np.concatenate(blocks), expected)
 
 
-def _tree_points(r: int, h: int, seed: int, shuffle: bool, fallback: bool) -> np.ndarray:
+def _tree_points(r: int, h: int, seed: int, fallback: bool) -> np.ndarray:
     """r^h random points in r - 2 dimensions, laid out so that the first
-    level's groups (after its shuffle, when ``shuffle``) are known.  With
-    ``fallback`` every other group is scaled up 1000 times and its points
-    after the first lie on the hyperplane last = 2 * first coordinate, which
-    makes the pin-0 matrix exactly singular, so those groups take another
-    pin and hold the level's largest residuals."""
+    level's groups are known.  With ``fallback`` every other group is scaled
+    up 1000 times and its points after the first lie on the hyperplane
+    last = 2 * first coordinate, which makes the pin-0 matrix exactly
+    singular, so those groups take another pin and hold the level's largest
+    residuals."""
     rng = np.random.default_rng(seed)
     groups = rng.standard_normal((r ** (h - 1), r, r - 2))
     if fallback:
         groups[::2] *= 1000.0
         groups[::2, 1:, -1] = 2.0 * groups[::2, 1:, 0]
-    points = groups.reshape(-1, r - 2)
-    if shuffle:  # place the rows where the first level's permutation takes them from
-        level_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
-        placed = np.empty_like(points)
-        placed[level_rng.permutation(len(points))] = points
-        points = placed
-    return points
+    return groups.reshape(-1, r - 2)
 
 
 def _reference_levels(points: np.ndarray, cfg: RadonConfig):
     """_aggregate_levels with one radon_point and one certify() per group."""
-    level_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     residuals, fallbacks = [], []
     for _ in range(cfg.h):
-        if cfg.shuffle_levels:
-            points = points[level_rng.permutation(points.shape[0])]
         groups = points.reshape(-1, cfg.r, points.shape[1])
         certs = [radon_point(group) for group in groups]
         residuals.append(max(certify(group, cert) for group, cert in zip(groups, certs)))
@@ -531,13 +530,12 @@ def _reference_levels(points: np.ndarray, cfg: RadonConfig):
 
 
 class TestLevelCertificates:
-    @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("fallback", [False, True])
     @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
-    def test_residuals_equal_a_certify_loop_bit_for_bit(self, r, h, fallback, shuffle):
+    def test_residuals_equal_a_certify_loop_bit_for_bit(self, r, h, fallback):
         seed = 31 + r
-        points = _tree_points(r, h, seed, shuffle, fallback)
-        cfg = RadonConfig(r=r, h=h, seed=seed, shuffle_levels=shuffle)
+        points = _tree_points(r, h, seed, fallback)
+        cfg = RadonConfig(r=r, h=h, seed=seed)
         root, trace = _aggregate_levels(points, cfg)
         expected_root, residuals, fallbacks = _reference_levels(points, cfg)
         assert root.tobytes() == expected_root.tobytes()
@@ -546,14 +544,13 @@ class TestLevelCertificates:
         assert (fallbacks[0] > 0) == fallback
         assert all(residual > 0.0 for residual in residuals)
 
-    @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("fallback", [False, True])
     @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
-    def test_stacked_fold_equals_the_traced_root(self, r, h, fallback, shuffle):
+    def test_stacked_fold_equals_the_traced_root(self, r, h, fallback):
         # the stacked fold of fit() and CV folds against radon_machine's tree
         seed = 31 + r
-        points = _tree_points(r, h, seed, shuffle, fallback)
-        cfg = RadonConfig(r=r, h=h, seed=seed, shuffle_levels=shuffle)
+        points = _tree_points(r, h, seed, fallback)
+        cfg = RadonConfig(r=r, h=h, seed=seed)
         assert _fold_tree(points, cfg).tobytes() == _aggregate_levels(points, cfg)[0].tobytes()
 
     def test_radon_machine_calls_no_certify(self, monkeypatch):

@@ -251,6 +251,20 @@ class TestTrainPredictRoundTrip:
         assert main(["train", "--data", str(bad), "--loss", "squared"]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fit_bias", "false"), ("fit_bias", 1), ("task", "regresion"), ("task", None)],
+    )
+    def test_loose_model_field_is_config_error(self, tmp_path, capsys, field, value):
+        data_path = _write_tiny_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        model = {"weights": [1.0, 1.0, 5.0], "fit_bias": True, "task": "binary", field: value}
+        model_path.write_text(json.dumps(model))
+        assert main(["predict", "--model", str(model_path), "--data", str(data_path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: model file {model_path}: {field} must be" in err
+        assert out == ""
+
     def test_malformed_model_is_config_error(self, tmp_path, capsys):
         data_path = _write_tiny_csv(tmp_path)
         bad_model = tmp_path / "model.json"
@@ -412,8 +426,6 @@ class TestBooleanConfigFields:
         [
             ({"learner": {"fit_bias": "false"}}, "learner.fit_bias"),
             ({"learner": {"fit_bias": 0}}, "learner.fit_bias"),
-            ({"shuffle_levels": "true"}, "shuffle_levels"),
-            ({"shuffle_levels": 1}, "shuffle_levels"),
         ],
     )
     def test_non_boolean_is_config_error(self, tmp_path, monkeypatch, capsys, payload, field):
@@ -578,8 +590,10 @@ class TestDatasetAndLearnerKeys:
             ({"dataset": {"source": "synthetic-regression", "noise": 0.5}}, "dataset.noise"),
             ({"dataset": {"source": "file", "path": "data.csv", "d": 3}}, "dataset.d"),
             ({"learner": {"loss": "squared", "x": 1}}, "learner.x"),
+            ({"task": "binary"}, "task"),
+            ({"shuffle_levels": True}, "shuffle_levels"),
         ],
-        ids=["nosie", "regression-noise", "file-d", "learner-x"],
+        ids=["nosie", "regression-noise", "file-d", "learner-x", "task", "shuffle-levels"],
     )
     def test_unknown_key_is_config_error(self, tmp_path, monkeypatch, capsys, payload, field):
         assert _run_benchmark_config(tmp_path, monkeypatch, payload) == 2

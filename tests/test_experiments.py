@@ -137,7 +137,7 @@ class TestFit:
     def test_each_algorithm_matches_its_entry_point(self):
         data, _ = synth_classification(1200, 2, 0.1, seed=6)
         spec = LearnerSpec(loss="logistic", epochs=2)
-        cfg = RadonConfig(r=5, h=1, seed=8, n_min=100, shuffle_levels=True)
+        cfg = RadonConfig(r=5, h=1, seed=8, n_min=100)
         base, times = fit("base", spec, data, cfg)
         assert np.array_equal(base.weights, train(spec, data, 8).weights)
         assert times["partition_s"] == times["aggregation_s"] == 0.0
@@ -251,8 +251,7 @@ class TestBoundsTable:
 
 
 class TestSharedPartitionTraining:
-    @pytest.mark.parametrize("shuffle_levels", [False, True])
-    def test_each_fold_trains_once_and_matches_fit(self, monkeypatch, shuffle_levels):
+    def test_each_fold_trains_once_and_matches_fit(self, monkeypatch):
         calls = []
         original = experiments.train_on_partitions
 
@@ -261,7 +260,7 @@ class TestSharedPartitionTraining:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "train_on_partitions", counting)
-        config = ExperimentConfig(**{**SMALL_BENCH, "shuffle_levels": shuffle_levels})
+        config = ExperimentConfig(**SMALL_BENCH)
         report = run_benchmark(config)
         assert len(calls) == config.cv_folds
 
@@ -271,9 +270,7 @@ class TestSharedPartitionTraining:
         for fold, h in enumerate(report["heights_per_fold"]):
             assert h > 0
             train_split = data.subset(plan.train_indices(fold))
-            cfg = RadonConfig(
-                r=r, h=h, seed=config.seed, n_min=config.n_min, shuffle_levels=shuffle_levels
-            )
+            cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min)
             for name in ("radon", "avg"):
                 hyp, _ = fit(name, config.learner, train_split, cfg)
                 expected = experiments._evaluate(hyp, data, plan.test_indices(fold))
@@ -369,18 +366,17 @@ class TestFoldPathsAgree:
     """fit("radon") folds one stack per level; radon_machine one radon_point
     per group.  Both must give the same bits."""
 
-    @pytest.mark.parametrize("shuffle_levels", [False, True])
     @pytest.mark.parametrize(
         "loss, d, fit_bias",
         [("squared", 8, True), ("logistic", 7, False), ("hinge", 2, True)],
     )
-    def test_fit_radon_equals_radon_machine(self, monkeypatch, loss, d, fit_bias, shuffle_levels):
+    def test_fit_radon_equals_radon_machine(self, monkeypatch, loss, d, fit_bias):
         # d = 8 with a bias gives r = 11, as in cv-squared: from r = 9 on,
         # numpy's pairwise summation differs from a sequential sum
         spec = LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
         r = spec.hypothesis_dim(d) + 2
         data, _ = synth_classification(r**2 * 20, d, 0.1, seed=d)
-        cfg = RadonConfig(r=r, h=2, seed=5, n_min=20, shuffle_levels=shuffle_levels)
+        cfg = RadonConfig(r=r, h=2, seed=5, n_min=20)
         expected = radon_machine(spec, data, cfg)[0].weights
 
         def refuse(*args, **kwargs):
@@ -465,10 +461,7 @@ def _timing_stripped(report: dict) -> dict:
 # column is appended.
 BIAS_CONFIGS = {
     "squared-bias": {},
-    "logistic-bias-shuffled": {
-        "learner": LearnerSpec(loss="logistic", epochs=1),
-        "shuffle_levels": True,
-    },
+    "logistic-bias": {"learner": LearnerSpec(loss="logistic", epochs=1)},
     "hinge-no-bias": {
         "dataset": {"source": "synthetic-classification", "n": 3001, "d": 2, "noise": 0.1},
         "learner": LearnerSpec(loss="hinge", epochs=1, fit_bias=False),

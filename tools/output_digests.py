@@ -1,0 +1,135 @@
+"""Print SHA-256 digests of the package's outputs, to compare two source trees bit for bit.
+
+    python3 tools/output_digests.py [--root DIR]
+
+Imports ``radon_machine`` from ``DIR/src`` and ``perfbench/workloads.py``
+from ``DIR/perfbench`` (``DIR`` defaults to this repository), so running the
+tool once with each tree's root and comparing the two outputs shows whether
+a change kept every output's bits.  It prints one ``<name> <sha256>`` line per
+output, then an ``all`` line digesting the lines above it:
+
+- ``benchmark``: ``run_benchmark`` reports over a small synthetic matrix,
+  the three losses with the bias column on and off at seeds 1-3, with one
+  worker and with two, digested by ``workloads.report_digest`` (which
+  drops the timing fields) after the ``config`` echo is removed, since the
+  config's fields may differ between trees while its values do not.  SGD
+  trains its partitions one train() call at a time with one worker and in
+  the lock-step kernel with two, so the two lines of a run show that both
+  paths give the same bits;
+- ``train``: the model file ``radon-machine train --workers 2`` writes for
+  each of ``base``, ``radon`` and ``avg`` with each loss, bias on and off;
+- ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3.
+
+It runs in a few seconds on one CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LOSSES = ("logistic", "hinge", "squared")
+ALGORITHMS = ("base", "radon", "avg")
+SEEDS = (1, 2, 3)
+WORKERS = (1, 2)
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _dataset(loss: str, seed: int) -> dict:
+    if loss == "squared":
+        return {"source": "synthetic-regression", "n": 1500, "d": 3, "noise_sd": 0.3, "seed": seed}
+    return {"source": "synthetic-classification", "n": 1500, "d": 3, "noise": 0.1, "seed": seed}
+
+
+def benchmark_digests(
+    rm, workloads, losses=LOSSES, seeds=SEEDS, workers=WORKERS
+) -> dict[str, str]:
+    """report_digest of each CV report, less its ``config`` echo."""
+    digests = {}
+    for loss in losses:
+        for fit_bias in (True, False):
+            for seed in seeds:
+                for count in workers:
+                    config = rm.ExperimentConfig.from_dict(
+                        {
+                            "dataset": _dataset(loss, seed),
+                            "learner": {"loss": loss, "epochs": 1, "fit_bias": fit_bias},
+                            "cv_folds": 3,
+                            "n_min": 20,
+                            "seed": seed,
+                            "workers": count,
+                        }
+                    )
+                    report = rm.run_benchmark(config)
+                    report.pop("config")
+                    name = f"benchmark {loss} bias={fit_bias} seed={seed} workers={count}"
+                    digests[name] = workloads.report_digest(report)
+    return digests
+
+
+def train_digests(cli, losses=LOSSES, algorithms=ALGORITHMS) -> dict[str, str]:
+    """Digest of each model file ``radon-machine train`` writes."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "model.json"
+        for algorithm in algorithms:
+            for loss in losses:
+                for fit_bias in (True, False):
+                    synth = "regression" if loss == "squared" else "classification"
+                    args = ["train", "--synth", synth, "--n", "2000", "--d", "3", "--loss", loss,
+                            "--epochs", "2", "--algorithm", algorithm, "--n-min", "20",
+                            "--seed", "4", "--workers", "2", "--out", str(out)]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main(args if fit_bias else [*args, "--no-bias"])
+                    if code != 0:
+                        raise RuntimeError(f"train exited {code}: {' '.join(args)}")
+                    name = f"train {algorithm} {loss} bias={fit_bias}"
+                    digests[name] = _sha256(out.read_bytes())
+    return digests
+
+
+def mc_digests(rm, seeds=SEEDS) -> dict[str, str]:
+    """Digest of the rows of mc_confidence(4, 2, 0.125, 1000) at each seed."""
+    return {
+        f"mc seed={seed}": _sha256(
+            json.dumps(rm.mc_confidence(4, 2, 0.125, 1000, seed)["rows"], sort_keys=True).encode()
+        )
+        for seed in seeds
+    }
+
+
+def _import_tree(root: Path):
+    """radon_machine, its cli and perfbench's workloads from the tree at ``root``."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    import radon_machine
+    from radon_machine import cli
+
+    return radon_machine, cli, workloads
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--root", type=Path, default=ROOT, help="source tree to digest")
+    args = parser.parse_args(argv)
+    rm, cli, workloads = _import_tree(args.root.resolve())
+    digests = {**benchmark_digests(rm, workloads), **train_digests(cli), **mc_digests(rm)}
+    lines = [f"{name} {digest}" for name, digest in digests.items()]
+    lines.append(f"all {_sha256(chr(10).join(lines).encode())}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
