@@ -531,7 +531,7 @@ def _reference_levels(points: np.ndarray, cfg: RadonConfig):
 
 class TestLevelCertificates:
     @pytest.mark.parametrize("fallback", [False, True])
-    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1), (4, 3), (6, 2)])
     def test_residuals_equal_a_certify_loop_bit_for_bit(self, r, h, fallback):
         seed = 31 + r
         points = _tree_points(r, h, seed, fallback)
@@ -545,7 +545,7 @@ class TestLevelCertificates:
         assert all(residual > 0.0 for residual in residuals)
 
     @pytest.mark.parametrize("fallback", [False, True])
-    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1)])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1), (4, 3), (6, 2)])
     def test_stacked_fold_equals_the_traced_root(self, r, h, fallback):
         # the stacked fold of fit() and CV folds against radon_machine's tree
         seed = 31 + r

@@ -366,17 +366,18 @@ class TestFoldPathsAgree:
     """fit("radon") folds one stack per level; radon_machine one radon_point
     per group.  Both must give the same bits."""
 
+    @pytest.mark.parametrize("h", [1, 2])
     @pytest.mark.parametrize(
         "loss, d, fit_bias",
         [("squared", 8, True), ("logistic", 7, False), ("hinge", 2, True)],
     )
-    def test_fit_radon_equals_radon_machine(self, monkeypatch, loss, d, fit_bias):
+    def test_fit_radon_equals_radon_machine(self, monkeypatch, loss, d, fit_bias, h):
         # d = 8 with a bias gives r = 11, as in cv-squared: from r = 9 on,
         # numpy's pairwise summation differs from a sequential sum
         spec = LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
         r = spec.hypothesis_dim(d) + 2
         data, _ = synth_classification(r**2 * 20, d, 0.1, seed=d)
-        cfg = RadonConfig(r=r, h=2, seed=5, n_min=20)
+        cfg = RadonConfig(r=r, h=h, seed=5, n_min=20)
         expected = radon_machine(spec, data, cfg)[0].weights
 
         def refuse(*args, **kwargs):
