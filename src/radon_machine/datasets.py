@@ -28,8 +28,8 @@ class Dataset:
     """Immutable rows of (feature vector, label).
 
     Binary tasks require labels in {-1, +1}; regression labels are any
-    finite reals.  Arrays are made read-only so a dataset can be shared
-    across workers without copies.
+    finite reals.  Arrays are made read-only, so the fits and folds that
+    read one dataset's rows cannot change them.
     """
 
     x: np.ndarray

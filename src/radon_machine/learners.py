@@ -19,8 +19,7 @@ reshuffled each epoch by a seeded generator, with the decaying step size
 Each step follows the gradient of loss_i + (reg_lambda / (2n)) * ||w||^2,
 an unbiased estimate of risk / n, so the stationary target is the summed
 objective above; the decay constant reg_lambda / n matches that per-step
-objective's regulariser.  Training is a pure function of (spec, data, seed)
-and instances share no state, so any number may run concurrently.
+objective's regulariser.  Training is a pure function of (spec, data, seed).
 ``_train_block`` trains many partitions in the caller's process and
 returns the same bits as one ``train`` call per partition: SGD runs in
 lock-step, and exact squared-loss solves go as one stacked solve per run of
@@ -210,71 +209,62 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     """Equal bit for bit to the rows
     ``[train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)]``.
 
-    The SGD runs of the partitions advance in lock-step: step t of every
-    partition is one vectorised update, so the Python loop makes as many
-    passes as the longest run has steps rather than their sum.  Each
-    partition keeps its own per-epoch permutations, its own step-size and
-    regulariser constants from its own row count, and stops updating after
-    its own last step of each epoch when the partitions differ in size.
-    SGD reads each step's rows by row id from ``data`` with the bias column
-    appended if the spec asks for it (a CV run hands in rows that already
-    carry it; see with_bias_column), so it holds at most one copy of the
-    rows.  Exact squared loss with reg_lambda > 0 skips SGD: it gathers the
-    partitions' rows with one take and solves each run of equal-size
-    partitions as one stack.  Every block must be non-empty, as
-    partition_indices makes them.
+    ``blocks`` must have the shape partition_indices gives them: non-empty,
+    and never larger than the block before (the first ``n_rows % parts``
+    hold one row more).  Both branches read their rows by id from one copy
+    of ``data``'s rows, with the bias column appended if the spec asks for
+    it (a CV run hands in rows that already carry it; see
+    with_bias_column).
+
+    The SGD runs of the partitions advance in lock-step: step s of every
+    partition still running is one vectorised update, so the Python loop
+    makes as many passes as the first block has steps rather than their
+    sum.  Since the blocks never grow, the partitions still running at step
+    s are always a prefix of them.  Each partition keeps its own per-epoch
+    permutations and its own step-size and regulariser constants from its
+    own row count.  Exact squared loss with reg_lambda > 0 skips SGD: each
+    run of equal-size partitions is gathered with one take and solved as
+    one stack.
     """
     _check_labels(spec, data)
-    p = spec.hypothesis_dim(data.dim)
     exact = spec.solves_exactly(data.dim)
     if exact and spec.reg_lambda == 0.0:  # lstsq does not stack
         return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
+    xa = _augmented(data.x, spec.fit_bias)
     sizes = np.array([len(block) for block in blocks])
+    w = np.zeros((len(blocks), xa.shape[1]))
     if exact:
-        starts = np.cumsum(sizes) - sizes
-        order = np.concatenate(blocks)
-        xa = _augmented(data.x.take(order, axis=0), spec.fit_bias)
-        y = data.y.take(order)
-        # one stacked solve per contiguous run of equal-size partitions;
-        # partition_indices makes at most two runs
-        w = np.empty((len(blocks), p))
         edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(blocks)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            rows = slice(starts[lo], starts[hi - 1] + sizes[lo])
+            idx = np.stack(blocks[lo:hi])
             w[lo:hi] = _solve_normal_equations(
-                xa[rows].reshape(hi - lo, sizes[lo], p),
-                y[rows].reshape(hi - lo, sizes[lo]),
-                spec.reg_lambda,
+                xa.take(idx, axis=0), data.y.take(idx), spec.reg_lambda
             )
         if not np.isfinite(w).all():
             raise ShapeError("weights contain non-finite values")  # as Hypothesis would
         return w
-    xa = _augmented(data.x, spec.fit_bias)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    w = np.zeros((len(blocks), p))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     lr0 = spec.learning_rate0
     decay = lr0 * spec.reg_lambda / sizes
     reg_step = spec.reg_lambda / sizes
-    all_live = int(sizes.min())
+    # live[s]: how many partitions, a prefix, still run at step s of an epoch
+    live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1).tolist()
     # rows[s, k]: row of xa that partition k visits at step s of the
     # current epoch; entries past a partition's own size are never used.
-    rows = np.zeros((int(sizes.max()), len(blocks)), dtype=np.intp)
+    rows = np.zeros((sizes[0], len(blocks)), dtype=np.intp)
     for epoch in range(spec.epochs):
         for k, rng in enumerate(rngs):
             rows[: sizes[k], k] = blocks[k].take(rng.permutation(sizes[k]))
         t0 = epoch * sizes  # each partition's step count at the epoch start
-        for s in range(rows.shape[0]):
-            live = slice(None) if s < all_live else np.flatnonzero(sizes > s)
-            idx = rows[s, live]
+        for s, m in enumerate(live):
+            idx = rows[s, :m]
             xt = xa.take(idx, axis=0)
-            wl = w[live]
-            g = loss_derivatives(spec.loss, (xt * wl).sum(axis=1), data.y.take(idx))
-            eta = lr0 / (1.0 + decay[live] * (t0[live] + s))
-            wl -= eta[:, None] * (g[:, None] * xt + reg_step[live, None] * wl)
-            if s >= all_live:
-                w[live] = wl
+            wm = w[:m]
+            g = loss_derivatives(spec.loss, (xt * wm).sum(axis=1), data.y.take(idx))
+            eta = lr0 / (1.0 + decay[:m] * (t0[:m] + s))
+            wm -= eta[:, None] * (g[:, None] * xt + reg_step[:m, None] * wm)
     diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:
         raise _diverged(spec, f" on partition {diverged[0]}")
@@ -294,18 +284,18 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
     BLAS syrk/gemv and LAPACK gesv calls per matrix as a single matrix, so
     each of its rows has the bits of a separate call.  ``reg_lambda == 0``
     takes lstsq and a single matrix only.  Data whose Gram matrix or X^T y
-    overflows to a non-finite value is a DataError.
+    overflows to a non-finite value is a DataError for either solver.
     """
+    xt = np.swapaxes(xa, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xt @ xa + reg_lambda * np.eye(xa.shape[-1])
+        xty = xt @ y[..., None]
+    if not (np.isfinite(gram).all() and np.isfinite(xty).all()):
+        raise DataError(
+            "the data's values overflow the squared-loss normal equations "
+            "(X^T X or X^T y is not finite)"
+        )
     if reg_lambda > 0.0:
-        xt = np.swapaxes(xa, -1, -2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = xt @ xa + reg_lambda * np.eye(xa.shape[-1])
-            xty = xt @ y[..., None]
-        if not (np.isfinite(gram).all() and np.isfinite(xty).all()):
-            raise DataError(
-                "the data's values overflow the squared-loss normal equations "
-                "(X^T X or X^T y is not finite)"
-            )
         return np.linalg.solve(gram, xty)[..., 0]
     return np.linalg.lstsq(xa, y, rcond=None)[0]
 

@@ -11,8 +11,8 @@ and forming the common convex combination
 
     point = sum_{i in I} (lam_i / L) * s_i = sum_{j in J} (-lam_j / L) * s_j,
 
-where L = sum_{i in I} lam_i.  Every operation here is a pure function, so
-calls are safe from any number of concurrent workers.
+where L = sum_{i in I} lam_i.  Every operation here is a pure function of
+its inputs.
 
 ``_radon_stack`` computes the Radon points of a whole stack of sets: one
 stacked LAPACK solve with coefficient 0 pinned to 1, and the scaled-pivoting

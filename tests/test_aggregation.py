@@ -177,8 +177,7 @@ class TestPoolTraining:
         assert np.array_equal(weights, np.stack(expected))
 
     def test_pool_rejects_what_train_rejects(self):
-        # 16 parts on 2 workers: blocks of two partitions, so the lock-step
-        # kernel, not train(), meets the bad input
+        # on 2 workers the lock-step kernel, not train(), meets the bad input
         data, _ = synth_classification(400, 2, 0.1, seed=3)
         spec = LearnerSpec(loss="logistic", epochs=2)
         off_labels = Dataset(x=data.x, y=np.full(400, 0.5), task="regression")
@@ -284,6 +283,21 @@ class TestInProcessTraining:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * data.n_rows * (data.dim + 1) * 8
+
+    def test_exact_solve_gathers_each_run_once(self):
+        # without the bias column the rows are the caller's, and only one
+        # run's gather at a time comes on top; a gather of every partition's
+        # rows before the first run's would hold about 1.35 copies of x
+        data, _ = synth_regression(20_000, 8, 0.1, seed=2)
+        spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
+        blocks = partition_indices(data.n_rows, 121, 3)
+        tracemalloc.start()
+        try:
+            _train_block(spec, data, blocks, training_seeds(3, 121))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * data.n_rows * data.dim * 8
 
     def test_diverged_sgd_names_learning_rate_and_partition(self):
         wide, _ = synth_regression(200, EXACT_SOLVE_MAX_DIM + 88, 0.1, seed=3)

@@ -619,18 +619,30 @@ def _write_overflowing_csv(tmp_path, rows=400):
 
 
 class TestSquaredOverflowIsDataError:
-    @pytest.mark.parametrize("algorithm", ["base", "radon"])
-    def test_benchmark(self, tmp_path, capsys, algorithm):
+    @staticmethod
+    def _benchmark(tmp_path, algorithm, reg_lambda):
         config = {
             "dataset": {"source": "file", "path": str(_write_overflowing_csv(tmp_path))},
-            "learner": {"loss": "squared", "reg_lambda": 1},
+            "learner": {"loss": "squared", "reg_lambda": reg_lambda},
             "algorithms": [algorithm],
             "cv_folds": 2,
             "n_min": 10,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["benchmark", "--config", str(cfg_path)]) == 3
+        return main(["benchmark", "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon"])
+    def test_benchmark(self, tmp_path, capsys, algorithm):
+        assert self._benchmark(tmp_path, algorithm, 1) == 3
+        err = capsys.readouterr().err
+        assert "data error: the data's values overflow the squared-loss normal equations" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
+    def test_benchmark_without_regulariser(self, tmp_path, capsys, algorithm):
+        # reg_lambda 0 solves by lstsq, which runs the same overflow check
+        assert self._benchmark(tmp_path, algorithm, 0) == 3
         err = capsys.readouterr().err
         assert "data error: the data's values overflow the squared-loss normal equations" in err
         assert "Warning" not in err

@@ -156,6 +156,57 @@ class TestRadonStack:
         with pytest.raises(DegenerateSetError):
             radon_point(FORCED_SINGLETON)
 
+    def test_pin_zero_passes_exactly_when_the_left_to_right_residual_is_within_tol(
+        self, monkeypatch
+    ):
+        # The kernel sums a set's residual left to right over its r points;
+        # numpy sums a contiguous axis pairwise once r >= 8, which rounds
+        # differently.  For sets whose two sums differ, the tolerance is put
+        # at the smaller one, so the order of the sum decides whether pin 0
+        # passes or the set falls back to the elimination.
+        solve = radon_points._first_passing_pin
+        fell_back = []
+
+        def recording(points):
+            fell_back.append(True)
+            return solve(points)
+
+        monkeypatch.setattr(radon_points, "_first_passing_pin", recording)
+        rng = np.random.default_rng(41)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            r = int(rng.integers(8, 13))
+            pts = rng.standard_normal((r, r - 2))
+            pts = pts / np.abs(pts).max() * 1023.0  # tol = RESIDUAL_RTOL * 1024, exactly
+            h = np.vstack([pts.T, np.ones((1, r))])
+            x = np.linalg.solve(h[None, :, 1:], -h[None, :, :1])[0, :, 0]
+            lam0 = np.concatenate([[1.0], x])  # pin 0's stacked solve
+            terms = np.ascontiguousarray(h * lam0)
+            left_to_right = terms[:, 0]
+            for k in range(1, r):
+                left_to_right = left_to_right + terms[:, k]
+            left_to_right = np.abs(left_to_right).max()
+            pairwise = np.abs(terms.sum(axis=1)).max()
+            if left_to_right == pairwise:
+                continue
+            tol = min(left_to_right, pairwise)
+            monkeypatch.setattr(radon_points, "RESIDUAL_RTOL", tol / 1024.0)
+            passes = bool(left_to_right <= tol)
+            fell_back.clear()
+            try:
+                lam, pins = _radon_stack(pts[None])[:2]
+            except DegenerateSetError:
+                # at a tolerance this tight, the elimination may find no pin
+                # or the certificate check may refuse the point; the
+                # decision below is made before either
+                lam = None
+            assert fell_back == ([] if passes else [True])
+            if lam is not None:
+                want_lam, want_pin = (lam0, 0) if passes else solve(pts)
+                assert pins[0] == want_pin and lam[0].tobytes() == want_lam.tobytes()
+                seen[passes] += 1
+        assert min(seen.values()) >= 20
+
 
 def _reference_radon_stack(pts):
     """_radon_stack's (n, r, d) formulas before the kernel went sets-last,

@@ -9,15 +9,17 @@ a change kept every output's bits.  It prints one ``<name> <sha256>`` line per
 output, then an ``all`` line digesting the lines above it:
 
 - ``benchmark``: ``run_benchmark`` reports over a small synthetic matrix,
-  the three losses with the bias column on and off at seeds 1-3, with one
-  worker and with two, digested by ``workloads.report_digest`` (which
+  the three losses, and squared loss again at ``reg_lambda`` 0 (the lstsq
+  path of its exact solve), with the bias column on and off at seeds 1-3,
+  with one worker and with two, digested by ``workloads.report_digest`` (which
   drops the timing fields) after the ``config`` echo is removed, since the
   config's fields may differ between trees while its values do not.  SGD
   trains its partitions one train() call at a time with one worker and in
   the lock-step kernel with two, so the two lines of a run show that both
   paths give the same bits;
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
-  each of ``base``, ``radon`` and ``avg`` with each loss, bias on and off;
+  each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
+  on and off;
 - ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3.
 
 It runs in a few seconds on one CPU.
@@ -41,6 +43,12 @@ SEEDS = (1, 2, 3)
 WORKERS = (1, 2)
 
 
+def _variants(loss: str) -> list[tuple[str, float | None]]:
+    """(name, reg_lambda) of each run of ``loss``; None keeps the default.
+    Squared loss also runs unregularised, which solves by lstsq."""
+    return [(loss, None), *([(f"{loss} reg_lambda=0", 0.0)] if loss == "squared" else [])]
+
+
 def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
@@ -57,23 +65,27 @@ def benchmark_digests(
     """report_digest of each CV report, less its ``config`` echo."""
     digests = {}
     for loss in losses:
-        for fit_bias in (True, False):
-            for seed in seeds:
-                for count in workers:
-                    config = rm.ExperimentConfig.from_dict(
-                        {
-                            "dataset": _dataset(loss, seed),
-                            "learner": {"loss": loss, "epochs": 1, "fit_bias": fit_bias},
-                            "cv_folds": 3,
-                            "n_min": 20,
-                            "seed": seed,
-                            "workers": count,
-                        }
-                    )
-                    report = rm.run_benchmark(config)
-                    report.pop("config")
-                    name = f"benchmark {loss} bias={fit_bias} seed={seed} workers={count}"
-                    digests[name] = workloads.report_digest(report)
+        for variant, reg_lambda in _variants(loss):
+            learner = {"loss": loss, "epochs": 1}
+            if reg_lambda is not None:
+                learner["reg_lambda"] = reg_lambda
+            for fit_bias in (True, False):
+                for seed in seeds:
+                    for count in workers:
+                        config = rm.ExperimentConfig.from_dict(
+                            {
+                                "dataset": _dataset(loss, seed),
+                                "learner": {**learner, "fit_bias": fit_bias},
+                                "cv_folds": 3,
+                                "n_min": 20,
+                                "seed": seed,
+                                "workers": count,
+                            }
+                        )
+                        report = rm.run_benchmark(config)
+                        report.pop("config")
+                        name = f"benchmark {variant} bias={fit_bias} seed={seed} workers={count}"
+                        digests[name] = workloads.report_digest(report)
     return digests
 
 
@@ -84,17 +96,20 @@ def train_digests(cli, losses=LOSSES, algorithms=ALGORITHMS) -> dict[str, str]:
         out = Path(tmp) / "model.json"
         for algorithm in algorithms:
             for loss in losses:
-                for fit_bias in (True, False):
+                for variant, reg_lambda in _variants(loss):
                     synth = "regression" if loss == "squared" else "classification"
                     args = ["train", "--synth", synth, "--n", "2000", "--d", "3", "--loss", loss,
                             "--epochs", "2", "--algorithm", algorithm, "--n-min", "20",
                             "--seed", "4", "--workers", "2", "--out", str(out)]
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main(args if fit_bias else [*args, "--no-bias"])
-                    if code != 0:
-                        raise RuntimeError(f"train exited {code}: {' '.join(args)}")
-                    name = f"train {algorithm} {loss} bias={fit_bias}"
-                    digests[name] = _sha256(out.read_bytes())
+                    if reg_lambda is not None:
+                        args += ["--reg-lambda", str(reg_lambda)]
+                    for fit_bias in (True, False):
+                        with contextlib.redirect_stdout(io.StringIO()):
+                            code = cli.main(args if fit_bias else [*args, "--no-bias"])
+                        if code != 0:
+                            raise RuntimeError(f"train exited {code}: {' '.join(args)}")
+                        name = f"train {algorithm} {variant} bias={fit_bias}"
+                        digests[name] = _sha256(out.read_bytes())
     return digests
 
 
