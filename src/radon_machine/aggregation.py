@@ -9,20 +9,20 @@ returns the coordinate-wise mean instead.
 
 Training runs in-process for any worker count through one call of the
 block kernel (learners._train_block), which gives the same bits as one
-train() call per partition; only SGD with one worker still makes one
 train() call per partition.  The kernel makes one Python pass per SGD step
 however many partitions it trains, so a process pool would only add fork
 and pickling cost; the package starts no process, and ``workers`` is
-checked but changes no result.  Radon levels fold in-process as
-well; ``_radon_level`` solves a whole level with one stacked call of
+checked but changes no result.  Radon levels fold in-process as well;
+``_radon_level`` solves a whole level with one stacked call of
 radon_points' kernel, and ``_fold_tree`` folds a tree with one such call
 per level: experiments' CV folds and ``fit`` take that path.  Only
-``radon_machine``'s tree (``_aggregate_levels``) still takes one
-radon_point call per group, which gives the same bits, because it reports
-each level's pin fallbacks and certificate residuals and the benchmark
-self-test counts its radon_point spans.  Partitions are read-only views
-of one permutation, cached per (rows, seed), so a CV fold draws it once
-to train and to checksum.
+``radon_machine`` keeps the reference paths, with the same bits: its tree
+(``_aggregate_levels``) takes one radon_point call per group, as it
+reports each level's pin fallbacks and certificate residuals, and its SGD
+at one worker makes one train() call per partition (``_train_each``); the
+benchmark self-test counts the spans of both.  Partitions are read-only
+views of one permutation, cached per (rows, seed), so a CV fold draws it
+once to train and to checksum.
 """
 
 from __future__ import annotations
@@ -149,27 +149,30 @@ def training_seeds(seed: int, count: int) -> list[int]:
 def train_on_partitions(
     spec: LearnerSpec, data: Dataset, parts: int, seed: int, workers: int = 1
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """Train one hypothesis per partition, in-process for any worker count;
-    the shared path of both schemes.  Only SGD with one worker trains the
-    partitions one train() call at a time; everything else takes one call
-    of learners._train_block.
+    """Train one hypothesis per partition with one learners._train_block
+    call, in-process for any worker count: the shared path of both schemes.
 
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    return _timed_training(_train_block, spec, data, parts, seed)
+
+
+def _timed_training(kernel, spec: LearnerSpec, data: Dataset, parts: int, seed: int):
+    """train_on_partitions with ``kernel`` in place of _train_block."""
     t0 = time.perf_counter()
     blocks = partition_indices(data.n_rows, parts, seed)
     seeds = training_seeds(seed, parts)
     t1 = time.perf_counter()
-    if workers == 1 and not spec.solves_exactly(data.dim):
-        # Kept for SGD only, for the benchmark self-test's train() span count (ROADMAP item 1).
-        weights = np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
-    else:
-        weights = _train_block(spec, data, blocks, seeds)
-    t2 = time.perf_counter()
-    return weights, {"partition_s": t1 - t0, "learning_s": t2 - t1}
+    weights = kernel(spec, data, blocks, seeds)
+    return weights, {"partition_s": t1 - t0, "learning_s": time.perf_counter() - t1}
+
+
+def _train_each(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) -> np.ndarray:
+    """_train_block's bits from one train() call per partition."""
+    return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
 
 def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
@@ -234,8 +237,9 @@ def _check_tree(spec: LearnerSpec, data: Dataset, cfg: RadonConfig) -> None:
 def radon_machine(
     spec: LearnerSpec, data: Dataset, cfg: RadonConfig
 ) -> tuple[Hypothesis, AggregationTrace]:
-    """Train r^h partition models (see train_on_partitions) and fold them
-    through h rounds of Radon points.
+    """Train r^h partition models as train_on_partitions does (SGD at one
+    worker: one train() call each, _train_each, the traced reference path;
+    ROADMAP item 1) and fold them through h rounds of Radon points.
 
     Requires cfg.r == hypothesis dimension + 2 and enough rows for every
     partition to hold at least cfg.n_min examples (see _check_tree).  With
@@ -253,7 +257,8 @@ def radon_machine(
         return hyp, trace
 
     parts = cfg.r**cfg.h
-    weights, times = train_on_partitions(spec, data, parts, cfg.seed, workers=cfg.workers)
+    kernel = _train_each if cfg.workers == 1 and not spec.solves_exactly(data.dim) else _train_block
+    weights, times = _timed_training(kernel, spec, data, parts, cfg.seed)
     t0 = time.perf_counter()
     final, trace = _aggregate_levels(weights, cfg)
     trace.wall_time_aggregation = time.perf_counter() - t0

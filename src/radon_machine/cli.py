@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .datasets import TASKS, load_dataset
+from .datasets import TASKS
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
@@ -328,10 +328,7 @@ def _cmd_predict(args) -> int:
     if task not in TASKS:
         raise ConfigError(f"model file {args.model}: task must be one of {TASKS}, got {task!r}")
 
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise ConfigError(f"dataset path not resolvable: {args.data}")
-    data = load_dataset(data_path, args.format)
+    data = resolve_dataset({"source": "file", "path": args.data, "format": args.format}, 0)
     scores = predict_score(hyp, data.x)
     binary = task == "binary"
     rows = [

@@ -131,7 +131,8 @@ def _load_csv(path: Path) -> Dataset:
 def _loadtxt_csv(path: Path) -> np.ndarray | None:
     r"""The data rows through np.loadtxt, or None where _parse_csv_lines
     must decide: a cell loadtxt rejects, a column count unlike the header's,
-    no data rows, or a byte on which the two parsers disagree.  Both split
+    a single column (no feature), no data rows, or a byte on which the two
+    parsers disagree.  Both split
     lines at \n, \r and \r\n and round cells correctly, but str.splitlines
     also breaks lines at \x0b, \x0c, \x1c-\x1e and at non-ASCII separators,
     and loadtxt strips \x1c-\x1f around a cell, which float() rejects.
@@ -147,7 +148,7 @@ def _loadtxt_csv(path: Path) -> np.ndarray | None:
             mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError:
         return None
-    return mat if mat.shape[0] > 0 and mat.shape[1] == n_cols else None
+    return mat if mat.shape[0] > 0 and mat.shape[1] == n_cols > 1 else None
 
 
 def _parse_csv_lines(path: Path) -> np.ndarray:

@@ -24,7 +24,10 @@ objective's regulariser.  Training is a pure function of (spec, data, seed).
 returns the same bits as one ``train`` call per partition: SGD runs in
 lock-step, and exact squared-loss solves go as one stacked solve per run of
 equal-size partitions.  Diverged SGD raises ShapeError naming
-``learning_rate0``.  ``with_bias_column`` lets many fits share one copy of
+``learning_rate0``; before its first step, an SGD fit of more than
+MAX_SGD_STEPS steps is a ConfigError naming ``learner.epochs``, and rows
+whose squared norm overflows are a DataError, as are scores that overflow
+in predict_score.  ``with_bias_column`` lets many fits share one copy of
 the rows with the bias column appended, and ``without_bias_column`` scores
 their weights as the configured spec would.
 """
@@ -42,6 +45,8 @@ from .errors import ConfigError, DataError, ShapeError, require_number
 
 # Dimension limit for the exact normal-equations path of the squared loss.
 EXACT_SOLVE_MAX_DIM = 512
+# Cap on the steps of one SGD fit (epochs x rows trained), checked before the first.
+MAX_SGD_STEPS = 10**10
 
 LOSS_NAMES = ("logistic", "hinge", "squared")
 CLASSIFICATION_LOSSES = ("logistic", "hinge")
@@ -184,6 +189,7 @@ def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:
         w = _solve_normal_equations(xa, data.y, spec.reg_lambda)
         return Hypothesis(weights=w, fit_bias=spec.fit_bias)
 
+    _check_sgd(spec, xa, n)
     rng = np.random.default_rng(seed)
     w = np.zeros(p)
     lr0 = spec.learning_rate0
@@ -245,6 +251,7 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
             raise ShapeError("weights contain non-finite values")  # as Hypothesis would
         return w
 
+    _check_sgd(spec, xa, int(sizes.sum()))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     lr0 = spec.learning_rate0
     decay = lr0 * spec.reg_lambda / sizes
@@ -269,6 +276,25 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     if diverged.size:
         raise _diverged(spec, f" on partition {diverged[0]}")
     return w
+
+
+def _check_sgd(spec: LearnerSpec, xa: np.ndarray, rows: int) -> None:
+    """Before the first SGD step over ``rows`` rows of ``xa``: ConfigError
+    when the fit's steps exceed MAX_SGD_STEPS, DataError when a row's
+    squared norm overflows, since a step on that row would send its score
+    past float64 for any but a vanishing step size."""
+    steps = int(spec.epochs) * rows
+    if steps > MAX_SGD_STEPS:
+        raise ConfigError(
+            f"learner.epochs={spec.epochs} over {rows} rows makes {steps} SGD steps, "
+            f"above the cap of {MAX_SGD_STEPS}"
+        )
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->i", xa, xa)
+    if not np.isfinite(norms).all():
+        raise DataError(
+            "the data's values overflow SGD's scores (a row's squared norm is not finite)"
+        )
 
 
 def _diverged(spec: LearnerSpec, where: str = "") -> ShapeError:
@@ -312,10 +338,13 @@ def predict_score(h: Hypothesis, x) -> float | np.ndarray:
         raise ShapeError(
             f"hypothesis of dimension {h.dim} cannot score inputs of dimension {xm.shape[1]}"
         )
-    if h.fit_bias:
-        scores = xm @ h.weights[:-1] + h.weights[-1]
-    else:
-        scores = xm @ h.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h.fit_bias:
+            scores = xm @ h.weights[:-1] + h.weights[-1]
+        else:
+            scores = xm @ h.weights
+    if not np.isfinite(scores).all():
+        raise DataError("the data's values overflow the scores <w, x> (a score is not finite)")
     return float(scores[0]) if single else scores
 
 

@@ -342,8 +342,8 @@ class TestStackedSolve:
 
     @pytest.mark.parametrize("loss, calls", [("squared", 0), ("logistic", 25)])
     def test_single_worker_calls_train_for_sgd_only(self, monkeypatch, loss, calls):
-        # the per-partition loop stays for SGD: the benchmark self-test
-        # counts one train() span per partition on a logistic fit
+        # radon_machine keeps the per-partition loop for SGD: the benchmark
+        # self-test counts one train() span per partition on a logistic fit
         seen = []
 
         def counting_train(*args, **kwargs):
@@ -353,7 +353,7 @@ class TestStackedSolve:
         monkeypatch.setattr(aggregation, "train", counting_train)
         data, _ = synth_classification(2500, 2, 0.1, seed=8)
         spec = LearnerSpec(loss=loss, epochs=1)
-        train_on_partitions(spec, data, 25, 3, workers=1)
+        radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=1))
         assert len(seen) == calls
 
 

@@ -656,3 +656,108 @@ class TestSquaredOverflowIsDataError:
         err = capsys.readouterr().err
         assert "data error: the data's values overflow the squared-loss normal equations" in err
         assert not out.exists()
+
+
+def _overflow_benchmark(tmp_path, loss, algorithm):
+    config = {
+        "dataset": {"source": "file", "path": str(_write_overflowing_csv(tmp_path))},
+        "learner": {"loss": loss},
+        "algorithms": [algorithm],
+        "cv_folds": 2,
+        "n_min": 10,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return main(["benchmark", "--config", str(cfg_path)])
+
+
+class TestSgdOverflowIsDataError:
+    # pytest turns a RuntimeWarning into an error, so an overflow the
+    # program lets through fails these tests instead of exiting 0
+    SGD_OVERFLOW = "data error: the data's values overflow SGD's scores"
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_benchmark(self, tmp_path, capsys, loss, algorithm):
+        # the first fold scores the row of 1e308, the second trains on it
+        assert _overflow_benchmark(tmp_path, loss, algorithm) == 3
+        err = capsys.readouterr().err
+        assert "data error: the data's values overflow the scores" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_train(self, tmp_path, capsys, loss, algorithm):
+        out = tmp_path / "m.json"
+        args = ["train", "--data", str(_write_overflowing_csv(tmp_path)), "--loss", loss,
+                "--algorithm", algorithm, "--n-min", "10", "--out", str(out)]
+        assert main(args) == 3
+        assert self.SGD_OVERFLOW in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict(self, tmp_path, capsys):
+        model = _write(tmp_path, "m.json", '{"weights": [2.0, 1.0, 0.0], "fit_bias": true}')
+        data = _write_overflowing_csv(tmp_path)
+        assert main(["predict", "--model", model, "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: the data's values overflow the scores" in err
+
+
+class TestSgdStepCap:
+    def test_train_rejects_a_fit_above_the_cap(self, tmp_path, capsys):
+        args = ["train", "--n", "2000", "--d", "2", "--epochs", "1000000000000",
+                "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert "config error: learner.epochs=1000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _model(tmp_path):
+    return _write(tmp_path, "m.json", '{"weights": [0.5, -0.5, 0.0], "fit_bias": true}')
+
+
+def _config(tmp_path, payload):
+    return ["benchmark", "--config", _write(tmp_path, "cfg.json", json.dumps(payload))]
+
+
+# (id, argv built under tmp_path, exit code, what stderr must name)
+EXIT_CASES = [
+    ("config-not-json", lambda t: ["benchmark", "--config", _write(t, "bad.json", "{bad")], 2,
+     "bad.json is not valid JSON"),
+    ("cv-folds-1", lambda t: _config(t, {"cv_folds": 1}), 2, "cv_folds"),
+    ("h-negative", lambda t: _config(t, {"h": -1}), 2, "h must be >= 0"),
+    ("workers-0", lambda t: _config(t, {"workers": 0}), 2, "workers"),
+    ("mc-r-2", lambda t: ["mc-bound", "--r", "2"], 2, "Radon number"),
+    ("mc-h-negative", lambda t: ["mc-bound", "--h", "-1"], 2, "height"),
+    ("mc-delta-base-1", lambda t: ["mc-bound", "--delta-base", "1.0"], 2, "delta_base"),
+    ("predict-no-model", lambda t: ["predict", "--model", str(t / "none.json"), "--data",
+                                    str(_write_tiny_csv(t))], 2, "none.json"),
+    ("predict-no-data", lambda t: ["predict", "--model", _model(t), "--data",
+                                   str(t / "none.csv")], 2, "none.csv'"),
+    ("empty-csv", lambda t: ["train", "--data", _write(t, "empty.csv", "")], 3, "empty.csv"),
+    ("svmlight-blank-lines", lambda t: ["train", "--data", _write(t, "blank.svm", "\n \n\n"),
+                                        "--format", "svmlight"], 3, "blank.svm: no data rows"),
+    ("svmlight-bad-label", lambda t: ["train", "--data", _write(t, "bad.svm", "x 1:2\n"),
+                                      "--format", "svmlight"], 3, "bad.svm: line 1: bad label"),
+    ("label-only-csv-train", lambda t: ["train", "--data", _write(t, "y.csv", "label\n1\n0\n")],
+     3, "y.csv: line 1: need at least one feature column"),
+    ("label-only-csv-predict", lambda t: ["predict", "--model", _model(t), "--data",
+                                          _write(t, "y.csv", "label\n1\n0\n")],
+     3, "y.csv: line 1: need at least one feature column"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, named", [case[1:] for case in EXIT_CASES], ids=[case[0] for case in EXIT_CASES]
+)
+def test_exit_code_branches(tmp_path, capsys, argv, code, named):
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

@@ -299,6 +299,51 @@ class TestSharedPartitionTraining:
         assert resolved["heights_per_fold"] == [1, 1]
 
 
+class TestOneTrainingPath:
+    def test_only_radon_machine_trains_partitions_one_at_a_time(self, monkeypatch):
+        # logistic loss at one worker: every entry point but radon_machine
+        # takes the block kernel, and all give the bits of two workers
+        seen = []
+
+        def counting_train(*args, **kwargs):
+            seen.append(1)
+            return train(*args, **kwargs)
+
+        data, _ = synth_classification(2500, 2, 0.1, seed=8)
+        spec = LearnerSpec(loss="logistic", epochs=1)
+        bench = {
+            "dataset": {"source": "synthetic-classification", "n": 2000, "d": 2, "noise": 0.1},
+            "learner": {"loss": "logistic", "epochs": 1},
+            "algorithms": ["radon", "avg"],
+            "cv_folds": 2,
+            "n_min": 20,
+            "seed": 3,
+        }
+
+        def results(workers):
+            cfg = RadonConfig(r=5, h=2, seed=3, workers=workers)
+            report = run_benchmark(ExperimentConfig.from_dict({**bench, "workers": workers}))
+            report.pop("config")
+            return {
+                "radon": fit("radon", spec, data, cfg)[0].weights.tobytes(),
+                "avg": fit("avg", spec, data, cfg)[0].weights.tobytes(),
+                "averaging_at_end": averaging_at_end(spec, data, 25, 3, workers).weights.tobytes(),
+                "train_on_partitions": aggregation.train_on_partitions(
+                    spec, data, 25, 3, workers
+                )[0].tobytes(),
+                "run_benchmark": _timing_stripped(report),
+            }
+
+        expected = results(2)
+        expected_root = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=2))
+        monkeypatch.setattr(aggregation, "train", counting_train)
+        assert results(1) == expected
+        assert seen == []
+        root, _ = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=1))
+        assert len(seen) == 5**2
+        assert root.weights.tobytes() == expected_root[0].weights.tobytes()
+
+
 class TestFitRadonChecks:
     """fit("radon") checks the tree as radon_machine does, without calling it."""
 

@@ -14,10 +14,13 @@ from radon_machine import (
     ShapeError,
     empirical_regret,
     loss_derivatives,
+    learners,
     loss_values,
+    partition_indices,
     predict_score,
     regularized_risk,
     train,
+    training_seeds,
 )
 
 COLLINEAR = Dataset(x=np.array([[1.0], [2.0]]), y=np.array([2.0, 4.0]), task="regression")
@@ -281,3 +284,43 @@ class TestLogisticDerivativeBits:
         for z, y in product(self.SCORES, [-1.0, 1.0]):
             expected = _two_divisions_logistic_derivative(np.float64(z), np.float64(y))
             assert loss_derivatives("logistic", z, y).tobytes() == expected.tobytes()
+
+
+def _partitioned(data, parts, seed):
+    return partition_indices(data.n_rows, parts, seed), training_seeds(seed, parts)
+
+
+class TestSgdOverflowingRows:
+    # pytest turns a RuntimeWarning into an error, so an overflowing score
+    # that reached the loop would fail these tests before the check
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_both_sgd_loops_reject_the_data_before_a_step(self, loss):
+        x = np.random.default_rng(4).uniform(-1, 1, (300, 3))
+        x[123, 2] = 1e200  # its square overflows
+        data = Dataset(x=x, y=np.where(x[:, 0] >= 0, 1.0, -1.0), task="binary")
+        spec = LearnerSpec(loss=loss, epochs=2)
+        with pytest.raises(DataError, match="overflow SGD's scores"):
+            train(spec, data, 0)
+        with pytest.raises(DataError, match="overflow SGD's scores"):
+            learners._train_block(spec, data, *_partitioned(data, 6, 0))
+
+    def test_predict_score_rejects_an_overflowing_score(self):
+        h = Hypothesis(weights=np.array([2.0, 1.0]), fit_bias=False)
+        with pytest.raises(DataError, match="overflow the scores"):
+            predict_score(h, np.array([[1e308, 0.0], [0.5, 0.5]]))
+        assert predict_score(h, np.array([1e307, 1.0])) == 2e307 + 1.0
+
+
+class TestSgdStepCap:
+    def test_steps_above_the_cap_are_a_config_error_naming_epochs(self, monkeypatch):
+        monkeypatch.setattr(learners, "MAX_SGD_STEPS", 1000)
+        data = Dataset(
+            x=np.linspace(-1, 1, 200)[:, None], y=np.tile([1.0, -1.0], 100), task="binary"
+        )
+        assert train(LearnerSpec(epochs=5), data, 0).dim == 2  # 1000 steps: at the cap
+        with pytest.raises(ConfigError, match=r"learner\.epochs=6 .* 1200 SGD steps"):
+            train(LearnerSpec(epochs=6), data, 0)
+        with pytest.raises(ConfigError, match=r"learner\.epochs=6 .* 1200 SGD steps"):
+            learners._train_block(LearnerSpec(epochs=6), data, *_partitioned(data, 4, 0))
+        squared = LearnerSpec(loss="squared", epochs=6)  # an exact solve takes no step
+        assert train(squared, Dataset(x=data.x, y=data.y, task="regression"), 0).dim == 2

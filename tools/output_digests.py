@@ -13,10 +13,12 @@ output, then an ``all`` line digesting the lines above it:
   path of its exact solve), with the bias column on and off at seeds 1-3,
   with one worker and with two, digested by ``workloads.report_digest`` (which
   drops the timing fields) after the ``config`` echo is removed, since the
-  config's fields may differ between trees while its values do not.  SGD
-  trains its partitions one train() call at a time with one worker and in
-  the lock-step kernel with two, so the two lines of a run show that both
-  paths give the same bits;
+  config's fields may differ between trees while its values do not;
+- ``radon_machine``: the root weights of ``radon_machine`` on a small
+  synthetic matrix with logistic and hinge loss, bias on and off, with one
+  worker and with two.  Its SGD trains the partitions one train() call at
+  a time with one worker and in the lock-step kernel with two, so the two
+  lines of a learner show that both paths give the same bits;
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
   each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
   on and off;
@@ -89,6 +91,22 @@ def benchmark_digests(
     return digests
 
 
+def radon_machine_digests(rm, losses=LOSSES[:2], workers=WORKERS) -> dict[str, str]:
+    """Digest of the root weights of each radon_machine fit."""
+    data, _ = rm.synth_classification(1500, 3, 0.1, seed=5)
+    digests = {}
+    for loss in losses:
+        for fit_bias in (True, False):
+            spec = rm.LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
+            r = rm.radon_number(spec.hypothesis_dim(data.dim))
+            for count in workers:
+                cfg = rm.RadonConfig(r=r, h=2, seed=5, n_min=20, workers=count)
+                root, _ = rm.radon_machine(spec, data, cfg)
+                name = f"radon_machine {loss} bias={fit_bias} workers={count}"
+                digests[name] = _sha256(root.weights.tobytes())
+    return digests
+
+
 def train_digests(cli, losses=LOSSES, algorithms=ALGORITHMS) -> dict[str, str]:
     """Digest of each model file ``radon-machine train`` writes."""
     digests = {}
@@ -139,7 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="source tree to digest")
     args = parser.parse_args(argv)
     rm, cli, workloads = _import_tree(args.root.resolve())
-    digests = {**benchmark_digests(rm, workloads), **train_digests(cli), **mc_digests(rm)}
+    digests = {
+        **benchmark_digests(rm, workloads),
+        **radon_machine_digests(rm),
+        **train_digests(cli),
+        **mc_digests(rm),
+    }
     lines = [f"{name} {digest}" for name, digest in digests.items()]
     lines.append(f"all {_sha256(chr(10).join(lines).encode())}")
     print("\n".join(lines))
