@@ -132,10 +132,10 @@ def _loadtxt_csv(path: Path) -> np.ndarray | None:
     r"""The data rows through np.loadtxt, or None where _parse_csv_lines
     must decide: a cell loadtxt rejects, a column count unlike the header's,
     a single column (no feature), no data rows, or a byte on which the two
-    parsers disagree.  Both split
-    lines at \n, \r and \r\n and round cells correctly, but str.splitlines
-    also breaks lines at \x0b, \x0c, \x1c-\x1e and at non-ASCII separators,
-    and loadtxt strips \x1c-\x1f around a cell, which float() rejects.
+    parsers disagree.  Both split lines at \n, \r and \r\n and round cells
+    correctly, but str.splitlines also breaks lines at \x0b, \x0c,
+    \x1c-\x1e and at non-ASCII separators, and loadtxt strips \x1c-\x1f
+    around a cell, which float() rejects.
     """
     raw = path.read_bytes()
     if not raw.isascii() or any(byte in raw for byte in b"\x0b\x0c\x1c\x1d\x1e\x1f"):
