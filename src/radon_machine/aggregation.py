@@ -35,7 +35,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError, DataError, require_seed
-from .learners import Hypothesis, LearnerSpec, _train_block, train
+from .learners import Hypothesis, LearnerSpec, _check_sgd, _train_block, train
 from .radon_points import _radon_stack, _violations, radon_number, radon_point
 
 
@@ -171,7 +171,8 @@ def _timed_training(kernel, spec: LearnerSpec, data: Dataset, parts: int, seed: 
 
 
 def _train_each(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) -> np.ndarray:
-    """_train_block's bits from one train() call per partition."""
+    """_train_block's bits and step cap from one train() call per partition."""
+    _check_sgd(spec, data.x, data.n_rows)
     return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
 

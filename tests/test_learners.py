@@ -11,6 +11,7 @@ from radon_machine import (
     Dataset,
     Hypothesis,
     LearnerSpec,
+    RadonConfig,
     ShapeError,
     empirical_regret,
     loss_derivatives,
@@ -18,6 +19,7 @@ from radon_machine import (
     loss_values,
     partition_indices,
     predict_score,
+    radon_machine,
     regularized_risk,
     train,
     training_seeds,
@@ -322,5 +324,9 @@ class TestSgdStepCap:
             train(LearnerSpec(epochs=6), data, 0)
         with pytest.raises(ConfigError, match=r"learner\.epochs=6 .* 1200 SGD steps"):
             learners._train_block(LearnerSpec(epochs=6), data, *_partitioned(data, 4, 0))
+        for workers in (1, 2):  # one train() call per partition, or the kernel
+            cfg = RadonConfig(r=4, h=1, seed=0, n_min=50, workers=workers)
+            with pytest.raises(ConfigError, match=r"learner\.epochs=6 .* 1200 SGD steps"):
+                radon_machine(LearnerSpec(epochs=6), data, cfg)
         squared = LearnerSpec(loss="squared", epochs=6)  # an exact solve takes no step
         assert train(squared, Dataset(x=data.x, y=data.y, task="regression"), 0).dim == 2
