@@ -335,13 +335,13 @@ class TestOneTrainingPath:
             }
 
         expected = results(2)
-        expected_root = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=2))
+        expected_root, _ = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=2))
         monkeypatch.setattr(aggregation, "train", counting_train)
         assert results(1) == expected
         assert seen == []
         root, _ = radon_machine(spec, data, RadonConfig(r=5, h=2, seed=3, workers=1))
         assert len(seen) == 5**2
-        assert root.weights.tobytes() == expected_root[0].weights.tobytes()
+        assert root.weights.tobytes() == expected_root.weights.tobytes()
 
 
 class TestFitRadonChecks:

@@ -24,7 +24,7 @@ def test_prints_one_digest_per_output_and_a_digest_of_them(monkeypatch, capsys):
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
     assert digests.pop("all") == hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()
     for name, digest in digests.items():
-        if name.endswith("workers=1"):  # the per-partition path and the kernel agree
+        if name.endswith("workers=1"):  # radon_machine's per-partition path included
             assert digests[name.replace("workers=1", "workers=2")] == digest
     assert len(set(digests.values())) == len(digests) - 4 * 2 * 3 - 2 * 2  # all else distinct
 
