@@ -57,9 +57,9 @@ class RadonConfig:
     def __post_init__(self):
         require_seed(self.seed)
         if self.r < 3:
-            raise ConfigError(f"Radon number must be >= 3, got {self.r}")
+            raise ConfigError(f"r must be >= 3 (a Radon number), got {self.r}")
         if self.h < 0:
-            raise ConfigError(f"tree height must be >= 0, got {self.h}")
+            raise ConfigError(f"h must be >= 0 (a tree height), got {self.h}")
         if self.n_min < 1:
             raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
         if self.workers < 1:
@@ -90,7 +90,7 @@ class AggregationTrace:
 def max_height(n_rows: int, r: int, n_min: int) -> int:
     """Largest h with r^h * n_min <= n_rows, by exact integer arithmetic."""
     if r < 3:
-        raise ConfigError(f"Radon number must be >= 3, got {r}")
+        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
     if n_min < 1:
         raise ConfigError(f"n_min must be >= 1, got {n_min}")
     if n_rows < n_min:

@@ -101,11 +101,11 @@ def boosted_confidence(r: int, delta_base: float, h: int) -> BoostedConfidence:
     bound is still computed but guarantees nothing.
     """
     if r < 3:
-        raise ConfigError(f"Radon number must be >= 3, got {r}")
+        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
     if not 0.0 < delta_base < 1.0:
         raise ConfigError(f"delta_base must lie in (0, 1), got {delta_base}")
     if h < 0:
-        raise ConfigError(f"height must be >= 0, got {h}")
+        raise ConfigError(f"h must be >= 0 (a tree height), got {h}")
     vacuous = r * delta_base >= 1.0
     log2_delta = _as_float(2**h) * math.log2(r * delta_base)
     if log2_delta < -1080.0:

@@ -253,6 +253,8 @@ def _cmd_bounds(args) -> int:
     h_min = pick(args.h_min, "h_min", 0, int)
     h_max = pick(args.h_max, "h_max", 4, int)
     workers = pick(args.workers, "c_workers", 1, int)
+    if h_min < 0:
+        raise ConfigError(f"h_min must be >= 0, got {h_min}")
     if h_min > h_max:
         raise ConfigError(f"h-min {h_min} exceeds h-max {h_max}")
 

@@ -452,9 +452,9 @@ def mc_confidence(
     ``workers`` must be >= 1 but changes neither the path nor the result.
     """
     if r < 3:
-        raise ConfigError(f"Radon number must be >= 3, got {r}")
+        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
     if h < 0:
-        raise ConfigError("height must be >= 0")
+        raise ConfigError(f"h must be >= 0 (a tree height), got {h}")
     if not 0.0 <= delta_base < 1.0:
         raise ConfigError(f"delta_base must lie in [0, 1), got {delta_base}")
     if trials < 1000:

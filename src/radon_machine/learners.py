@@ -73,7 +73,7 @@ class LearnerSpec:
         if not (math.isfinite(_as_float(self.reg_lambda)) and self.reg_lambda >= 0):
             raise ConfigError(f"learner.reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError(f"learner.epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(_as_float(self.learning_rate0)) and self.learning_rate0 > 0):
             raise ConfigError(
                 f"learner.learning_rate0 must be finite and > 0, got {self.learning_rate0}"
@@ -228,9 +228,12 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     sum.  Since the blocks never grow, the partitions still running at step
     s are always a prefix of them.  Each partition keeps its own per-epoch
     permutations and its own step-size and regulariser constants from its
-    own row count.  Exact squared loss with reg_lambda > 0 skips SGD: each
-    run of equal-size partitions is gathered with one take and solved as
-    one stack.
+    own row count.  Each epoch starts by filling two (steps, partitions)
+    tables once: the row ids that each partition's permutation visits, and
+    their step sizes.  A pass gathers its rows and labels by id and reads
+    its step sizes off the table.  Exact squared loss with reg_lambda > 0
+    skips SGD: each run of equal-size partitions is gathered with one take
+    and solved as one stack.
     """
     _check_labels(spec, data)
     exact = spec.solves_exactly(data.dim)
@@ -255,23 +258,30 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     rngs = [np.random.default_rng(seed) for seed in seeds]
     lr0 = spec.learning_rate0
     decay = lr0 * spec.reg_lambda / sizes
-    reg_step = spec.reg_lambda / sizes
+    reg_step = np.repeat((spec.reg_lambda / sizes)[:, None], w.shape[1], axis=1)
+    steps = np.arange(sizes[0], dtype=np.float64)[:, None]
     # live[s]: how many partitions, a prefix, still run at step s of an epoch
-    live = (sizes > np.arange(sizes[0])[:, None]).sum(axis=1).tolist()
-    # rows[s, k]: row of xa that partition k visits at step s of the
-    # current epoch; entries past a partition's own size are never used.
+    live = (sizes > steps).sum(axis=1).tolist()
+    # rows[s, k] and etas[s, k]: row of xa that partition k visits at step s
+    # of the current epoch, and its step size; entries past a partition's
+    # own size are never used.
     rows = np.zeros((sizes[0], len(blocks)), dtype=np.intp)
+    etas = np.empty(rows.shape)
     for epoch in range(spec.epochs):
         for k, rng in enumerate(rngs):
             rows[: sizes[k], k] = blocks[k].take(rng.permutation(sizes[k]))
-        t0 = epoch * sizes  # each partition's step count at the epoch start
+        # lr0 / (1 + decay * t) at each step count t = epoch * size + s, a
+        # whole number below 2^53 (MAX_SGD_STEPS), so the float add is exact
+        np.add(steps, epoch * sizes, out=etas)
+        etas *= decay
+        etas += 1.0
+        np.divide(lr0, etas, out=etas)
         for s, m in enumerate(live):
             idx = rows[s, :m]
             xt = xa.take(idx, axis=0)
             wm = w[:m]
             g = loss_derivatives(spec.loss, (xt * wm).sum(axis=1), data.y.take(idx))
-            eta = lr0 / (1.0 + decay[:m] * (t0[:m] + s))
-            wm -= eta[:, None] * (g[:, None] * xt + reg_step[:m, None] * wm)
+            wm -= etas[s, :m, None] * (g[:, None] * xt + reg_step[:m] * wm)
     diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:
         raise _diverged(spec, f" on partition {diverged[0]}")
@@ -282,7 +292,10 @@ def _check_sgd(spec: LearnerSpec, xa: np.ndarray, rows: int) -> None:
     """Before the first SGD step over ``rows`` rows of ``xa``: ConfigError
     when the fit's steps exceed MAX_SGD_STEPS, DataError when a row's
     squared norm overflows, since a step on that row would send its score
-    past float64 for any but a vanishing step size."""
+    past float64 for any but a vanishing step size.  No row's squared norm
+    exceeds the sum of all squares, so one dot product clears the data when
+    that sum is at most half the largest float; only above it are the norms
+    computed row by row."""
     steps = int(spec.epochs) * rows
     if steps > MAX_SGD_STEPS:
         raise ConfigError(
@@ -290,6 +303,8 @@ def _check_sgd(spec: LearnerSpec, xa: np.ndarray, rows: int) -> None:
             f"above the cap of {MAX_SGD_STEPS}"
         )
     with np.errstate(over="ignore"):
+        if np.vdot(xa, xa) <= np.finfo(np.float64).max / 2:
+            return
         norms = np.einsum("ij,ij->i", xa, xa)
     if not np.isfinite(norms).all():
         raise DataError(

@@ -97,6 +97,14 @@ class TestMaxHeight:
             assert max_height(n, r, n_min) == h
             assert max_height(n - 1, r, n_min) == h - 1
 
+    def test_range_errors_name_the_field(self):
+        with pytest.raises(ConfigError, match=r"^r must be >= 3 \(a Radon number\), got 2$"):
+            max_height(100, 2, 10)
+        with pytest.raises(ConfigError, match=r"^r must be >= 3 \(a Radon number\), got 2$"):
+            RadonConfig(r=2, h=1, seed=0)
+        with pytest.raises(ConfigError, match=r"^h must be >= 0 \(a tree height\), got -1$"):
+            RadonConfig(r=4, h=-1, seed=0)
+
 
 class TestRadonMachine:
     def test_height_zero_equals_plain_training(self):
@@ -254,6 +262,25 @@ class TestInProcessTraining:
         assert np.array_equal(train_on_partitions(spec, data, 25, 4, workers=8)[0], single)
         many = RadonConfig(r=6, h=2, seed=4, n_min=50, workers=8)
         assert np.array_equal(radon_machine(spec, data, many)[0].weights, single_root)
+
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 0.01])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_sgd_matches_per_partition_train_across_epochs(self, loss, reg_lambda, fit_bias):
+        # 2003 rows in 25 parts: 3 of 81 rows, 22 of 80, so a partition's
+        # step count at an epoch start differs from the first block's; the
+        # step sizes decay only at reg_lambda > 0
+        data, _ = synth_classification(2003, 3, 0.1, seed=6)
+        spec = LearnerSpec(loss=loss, reg_lambda=reg_lambda, epochs=3, fit_bias=fit_bias)
+        parts, seed = 25, 8
+        weights, _ = train_on_partitions(spec, data, parts, seed, workers=2)
+        blocks = partition_indices(data.n_rows, parts, seed)
+        assert {len(b) for b in blocks} == {80, 81}
+        expected = [
+            train(spec, data.subset(ix), s).weights
+            for ix, s in zip(blocks, training_seeds(seed, parts))
+        ]
+        assert weights.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("d", [3, EXACT_SOLVE_MAX_DIM + 8])
     def test_squared_loss_matches_per_partition_train(self, d):

@@ -733,8 +733,17 @@ EXIT_CASES = [
     ("cv-folds-1", lambda t: _config(t, {"cv_folds": 1}), 2, "cv_folds"),
     ("h-negative", lambda t: _config(t, {"h": -1}), 2, "h must be >= 0"),
     ("workers-0", lambda t: _config(t, {"workers": 0}), 2, "workers"),
-    ("mc-r-2", lambda t: ["mc-bound", "--r", "2"], 2, "Radon number"),
-    ("mc-h-negative", lambda t: ["mc-bound", "--h", "-1"], 2, "height"),
+    ("mc-r-2", lambda t: ["mc-bound", "--r", "2"], 2, "r must be >= 3 (a Radon number), got 2"),
+    ("mc-h-negative", lambda t: ["mc-bound", "--h", "-1"], 2, "h must be >= 0 (a tree height)"),
+    ("mc-config-r-2", lambda t: ["mc-bound", "--config", _write(t, "mc.json", '{"mc": {"r": 2}}')],
+     2, "r must be >= 3"),
+    ("bounds-r-2", lambda t: ["bounds", "--r", "2"], 2, "r must be >= 3"),
+    ("bounds-h-min-negative", lambda t: ["bounds", "--h-min", "-1"], 2, "h_min must be >= 0"),
+    ("train-h-negative", lambda t: ["train", "--n", "200", "--h", "-1"], 2, "h must be >= 0"),
+    ("train-epochs-0", lambda t: ["train", "--n", "200", "--epochs", "0"], 2,
+     "learner.epochs must be >= 1, got 0"),
+    ("learner-epochs-0", lambda t: _config(t, {"learner": {"epochs": 0}}), 2,
+     "learner.epochs must be >= 1, got 0"),
     ("mc-delta-base-1", lambda t: ["mc-bound", "--delta-base", "1.0"], 2, "delta_base"),
     ("predict-no-model", lambda t: ["predict", "--model", str(t / "none.json"), "--data",
                                     str(_write_tiny_csv(t))], 2, "none.json"),

@@ -306,6 +306,20 @@ class TestSgdOverflowingRows:
         with pytest.raises(DataError, match="overflow SGD's scores"):
             learners._train_block(spec, data, *_partitioned(data, 6, 0))
 
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_rows_past_the_sum_of_squares_bound_still_train(self, loss):
+        # the sum of all squares overflows, so the check reads the rows one
+        # by one; each large row's squared norm, 1e308, is finite
+        x = np.random.default_rng(4).uniform(-1, 1, (300, 2))
+        x[7], x[123] = (1e154, 0.0), (0.0, 1e154)
+        data = Dataset(x=x, y=np.where(x[:, 0] >= 0, 1.0, -1.0), task="binary")
+        spec = LearnerSpec(loss=loss, epochs=1, fit_bias=False)
+        with np.errstate(over="ignore"):
+            assert np.vdot(x, x) > np.finfo(np.float64).max / 2
+        weights = train(spec, data, 0).weights
+        block = learners._train_block(spec, data, [np.arange(300)], [0])
+        assert np.isfinite(weights).all() and np.array_equal(block[0], weights)
+
     def test_predict_score_rejects_an_overflowing_score(self):
         h = Hypothesis(weights=np.array([2.0, 1.0]), fit_bias=False)
         with pytest.raises(DataError, match="overflow the scores"):

@@ -16,9 +16,11 @@ output, then an ``all`` line digesting the lines above it:
   config's fields may differ between trees while its values do not;
 - ``radon_machine``: the root weights of ``radon_machine`` on a small
   synthetic matrix with logistic and hinge loss, bias on and off, with one
-  worker and with two.  Its SGD trains the partitions one train() call at
-  a time with one worker and in the lock-step kernel with two, so the two
-  lines of a learner show that both paths give the same bits;
+  worker and with two, trained for 3 epochs so that each partition's step
+  count carries across epoch starts into its decaying step size.  Its SGD
+  trains the partitions one train() call at a time with one worker and in
+  the lock-step kernel with two, so the two lines of a learner show that
+  both paths give the same bits;
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
   each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
   on and off;
@@ -97,7 +99,7 @@ def radon_machine_digests(rm, losses=LOSSES[:2], workers=WORKERS) -> dict[str, s
     digests = {}
     for loss in losses:
         for fit_bias in (True, False):
-            spec = rm.LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
+            spec = rm.LearnerSpec(loss=loss, epochs=3, fit_bias=fit_bias)
             r = rm.radon_number(spec.hypothesis_dim(data.dim))
             for count in workers:
                 cfg = rm.RadonConfig(r=r, h=2, seed=5, n_min=20, workers=count)
