@@ -220,18 +220,19 @@ def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray,
 
 def _check_tree(spec: LearnerSpec, data: Dataset, cfg: RadonConfig) -> None:
     """ConfigError unless cfg.r is the hypothesis space's Radon number;
-    DataError when h > 0 leaves the r^h partitions fewer than n_min rows each."""
+    DataError when cfg.h > max_height, so r^h parts get < n_min rows each."""
     dim = spec.hypothesis_dim(data.dim)
     if cfg.r != radon_number(dim):
         raise ConfigError(
             f"Radon number {cfg.r} does not match hypothesis dimension {dim} "
             f"(expected r = {radon_number(dim)})"
         )
-    parts = cfg.r**cfg.h
-    if cfg.h > 0 and data.n_rows < parts * cfg.n_min:
+    if cfg.h > max_height(data.n_rows, cfg.r, cfg.n_min):
+        small = cfg.h * cfg.r.bit_length() <= 64  # r^h < 2^64: the count in digits
+        need = cfg.n_min * cfg.r**cfg.h if small else f"{cfg.n_min} * {cfg.r}^{cfg.h}"
         raise DataError(
-            f"need at least {parts * cfg.n_min} rows for r={cfg.r}, h={cfg.h}, "
-            f"n_min={cfg.n_min}; got {data.n_rows}"
+            f"need at least {need} rows for r={cfg.r}, h={cfg.h}, n_min={cfg.n_min}; "
+            f"got {data.n_rows}"
         )
 
 

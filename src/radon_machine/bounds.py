@@ -13,6 +13,10 @@ runtime, speed-up, and data cost of the scheme against running the base
 learner on enough data for the same guarantee.  Asymptotic-order estimates
 evaluate their formulas with all hidden constants set to 1 and are
 order-of-magnitude indicators, not exact predictions.
+
+Integer powers such as r^h and 2^h are exact while they fit a float and
++inf beyond, without the larger integer being built; float powers past
+float range are +inf too.  A tall tree or a large exponent gives inf.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 
+# log2 of a bound above every finite float (the largest is just below 2^1024).
+_FLOAT_LOG2_BOUND = 1025
+
 
 def _as_float(value) -> float:
     """float() that saturates to +inf instead of raising on huge ints."""
@@ -29,6 +36,26 @@ def _as_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def _exact_pow(base: int, exponent: int):
+    """base ** exponent (base >= 2, exponent >= 0) as an exact integer while
+    it is at most about 2^1025, else +inf, which is what _as_float makes of
+    the larger integer; that integer is never built."""
+    if exponent > _FLOAT_LOG2_BOUND / math.log2(base):
+        return math.inf
+    return base**exponent
+
+
+def _pow(base: float, exponent) -> float:
+    """float(base) ** exponent for base >= 0 and exponent > 0, saturating to
+    +inf (base above 1) or 0 (base below 1) where the float power raises."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        if base > 1:
+            return math.inf
+        return 1.0 if base == 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -53,11 +80,13 @@ class ComplexityParams:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.kappa < 1:
             raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
+        if self.alpha_eps == 0 and self.beta_eps == 0:
+            raise ConfigError("beta_eps and alpha_eps are both 0, so no sample size is positive")
 
     def base_sample_size(self, delta: float) -> float:
         if not 0.0 < delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-        return (self.alpha_eps + self.beta_eps * math.log2(1.0 / delta)) ** self.k
+        return _pow(self.alpha_eps + self.beta_eps * math.log2(1.0 / delta), self.k)
 
 
 @dataclass(frozen=True)
@@ -107,7 +136,8 @@ def boosted_confidence(r: int, delta_base: float, h: int) -> BoostedConfidence:
     if h < 0:
         raise ConfigError(f"h must be >= 0 (a tree height), got {h}")
     vacuous = r * delta_base >= 1.0
-    log2_delta = _as_float(2**h) * math.log2(r * delta_base)
+    log_term = math.log2(r * delta_base)
+    log2_delta = _as_float(_exact_pow(2, h)) * log_term if log_term else 0.0
     if log2_delta < -1080.0:
         delta = 0.0
     elif log2_delta > 1023.0:
@@ -154,7 +184,7 @@ def radon_sample_size(r: int, h: int, n_base: float) -> float:
     """Total sample size r^h * n_base of the aggregation scheme."""
     if r < 3 or h < 0 or not n_base > 0:
         raise ConfigError("need r >= 3, h >= 0, n_base > 0")
-    replicas = r**h  # exact integer, arbitrary precision
+    replicas = _exact_pow(r, h)
     if float(n_base).is_integer():
         return _as_float(replicas * int(n_base))
     return _as_float(replicas) * float(n_base)
@@ -168,7 +198,8 @@ def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, 
     if not 0.0 < delta_base < 1.0 / r:
         raise ConfigError(f"delta_base must lie in (0, 1/r) = (0, {1.0 / r}), got {delta_base}")
     log_term = math.log2(1.0 / (r * delta_base))
-    return (params.alpha_eps + _as_float(2**h) * params.beta_eps * log_term) ** params.k
+    growth = _as_float(_exact_pow(2, h)) * params.beta_eps * log_term if params.beta_eps else 0.0
+    return _pow(params.alpha_eps + growth, params.k)
 
 
 def choose_height(m_samples: float, k: int) -> int:
@@ -192,13 +223,19 @@ def runtime_model(n: float, r: int, h: int, kappa: int, c_workers: int) -> float
 
     max(1, r^h / c) * n^kappa + r^3 * sum_{i=1..h} ceil(r^i / c).
 
-    With c >= r^h this reduces to n^kappa + h * r^3.
+    With c >= r^h this reduces to n^kappa + h * r^3.  It is +inf once
+    r^(h+3) / c, a lower bound on the second term, is past float range.
     """
     if not n > 0 or r < 3 or h < 0 or kappa < 1 or c_workers < 1:
         raise ConfigError("need n > 0, r >= 3, h >= 0, kappa >= 1, c_workers >= 1")
-    queue_factor = max(1.0, float(r**h) / c_workers)
+    if h + 3 > (_FLOAT_LOG2_BOUND + math.log2(c_workers)) / math.log2(r):
+        return math.inf
+    try:
+        queue_factor = max(1.0, float(r**h) / c_workers)
+    except OverflowError:  # c_workers (or r^h, then c_workers too) past float range
+        queue_factor = max(1.0, r**h / c_workers)
     aggregation = r**3 * sum(-(-(r**i) // c_workers) for i in range(1, h + 1))
-    return queue_factor * float(n) ** kappa + float(aggregation)
+    return queue_factor * _pow(n, kappa) + _as_float(aggregation)
 
 
 def efficiency_report(
@@ -210,23 +247,25 @@ def efficiency_report(
     inefficiency_estimate: M ** log2(r)
     data_inefficiency: (M / log2 M) ** (log2(r) / k)
 
-    all with hidden constants 1, where M is the sequential sample size.
+    all with hidden constants 1, where M is the sequential sample size;
+    h_star is None unless 2 < M < inf.
     """
     boosted = boosted_confidence(r, delta_base, h)
     n_base = params.base_sample_size(delta_base)
     n_radon = radon_sample_size(r, h, n_base)
     m_seq = sequential_sample_size(params, r, delta_base, h)
-    m_approx = _as_float(2**h) * n_base
-    h_star = choose_height(m_seq, params.k) if m_seq > 2.0 else None
+    m_approx = _as_float(_exact_pow(2, h)) * n_base
+    h_star = choose_height(m_seq, params.k) if 2.0 < m_seq < math.inf else None
 
     runtime_radon = runtime_model(n_base, r, h, params.kappa, c_workers)
-    runtime_seq = float(m_seq) ** params.kappa
-    speedup = _as_float(2 ** (h * params.k * params.kappa)) / (
-        1.0 + h * r**3 / float(n_base) ** params.kappa
-    )
-    inefficiency = float(m_seq) ** math.log2(r) if m_seq > 0 else math.inf
+    runtime_seq = _pow(m_seq, params.kappa)
+    cost = _pow(n_base, params.kappa)  # 0 where n_base ** kappa underflows
+    overhead = _as_float(h * r**3) / cost if cost else (math.inf if h else 0.0)
+    speedup = _as_float(_exact_pow(2, h * params.k * params.kappa)) / (1.0 + overhead)
+    inefficiency = _pow(m_seq, math.log2(r)) if m_seq > 0 else math.inf
     ld_m = math.log2(m_seq) if m_seq > 1.0 else math.nan
-    data_ineff = (m_seq / ld_m) ** (math.log2(r) / params.k) if m_seq > 1.0 else math.nan
+    ratio = m_seq / ld_m if m_seq < math.inf else math.inf
+    data_ineff = _pow(ratio, math.log2(r) / _as_float(params.k)) if m_seq > 1.0 else math.nan
 
     return BoundReport(
         r=r,

@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .datasets import TASKS
+from .bounds import _as_float
+from .datasets import FORMATS, TASKS
 from .errors import ConfigError, DataError, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
@@ -42,6 +44,9 @@ from .radon_points import radon_number
 # The keys each subcommand reads from its config section.
 MC_KEYS = ("r", "h", "delta_base", "trials", "seed", "workers")
 BOUNDS_TABLE_KEYS = (*BOUNDS_KEYS, "r", "h_min", "h_max", "c_workers")
+# The bounds table's last height: above it 2^h is past float range, so the
+# bound and the sequential sample sizes are 0 or inf.
+BOUNDS_MAX_HEIGHT = 1024
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,6 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(pr, "out")
     pr.add_argument("--model", required=True)
     pr.add_argument("--data", required=True)
-    pr.add_argument("--format", choices=("csv", "svmlight"), default="csv")
+    pr.add_argument("--format", choices=FORMATS, default="csv")
     pr.set_defaults(handler=_cmd_predict)
     return parser
 
@@ -123,7 +131,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
 
 def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", default=None, help="dataset file path")
-    sub.add_argument("--format", choices=("csv", "svmlight"), default="csv")
+    sub.add_argument("--format", choices=FORMATS, default="csv")
     sub.add_argument(
         "--synth", choices=("classification", "regression"), default="classification",
         help="generate data",
@@ -142,7 +150,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, got {type(raw).__name__}")
@@ -160,16 +168,29 @@ def _parse_height(text: str) -> int | str:
 
 
 def _picker(section: dict, name: str):
-    """pick(flag, key, default, cast): the flag when given, else ``cast`` of
-    the section's field, which must be a number (an integer for int)."""
+    """pick(flag, key, default, cast): the flag when given, else the
+    section's field, which must be a number: an integer for int, and for
+    float read as one (+inf past float range)."""
 
     def pick(flag, key, default, cast):
         if flag is not None:
             return flag
-        value = section.get(key, default)
-        return cast(require_number(value, f"{name}.{key}", integer=cast is int))
+        value = require_number(section.get(key, default), f"{name}.{key}", integer=cast is int)
+        return value if cast is int else _as_float(value)
 
     return pick
+
+
+@contextlib.contextmanager
+def _naming(path: str | None):
+    """Re-raise a DataError about the rows of the data file ``path`` with
+    the file named, unless it names it already."""
+    try:
+        yield
+    except DataError as exc:
+        if path is None or path in str(exc):
+            raise
+        raise DataError(f"{exc} (data file {path})") from None
 
 
 def _cmd_benchmark(args) -> int:
@@ -249,6 +270,8 @@ def _cmd_bounds(args) -> int:
         }
     )
     r = pick(args.r, "r", 4, int)
+    if not 3 <= r < 2**64:  # a dimension + 2; keeps the floats of r and r^3 finite
+        raise ConfigError(f"r must be >= 3 and below 2**64 (a Radon number), got {r}")
     delta_base = pick(args.delta_base, "delta_base", 1.0 / (2 * r), float)
     h_min = pick(args.h_min, "h_min", 0, int)
     h_max = pick(args.h_max, "h_max", 4, int)
@@ -256,7 +279,9 @@ def _cmd_bounds(args) -> int:
     if h_min < 0:
         raise ConfigError(f"h_min must be >= 0, got {h_min}")
     if h_min > h_max:
-        raise ConfigError(f"h-min {h_min} exceeds h-max {h_max}")
+        raise ConfigError(f"h_min {h_min} exceeds h_max {h_max}")
+    if h_max > BOUNDS_MAX_HEIGHT:
+        raise ConfigError(f"h_max must be <= {BOUNDS_MAX_HEIGHT}, got {h_max}")
 
     rows = bounds_table(params, r, delta_base, range(h_min, h_max + 1), workers)
     header = "h      delta         n_base        n_radon       m_sequential  speedup_est"
@@ -292,7 +317,8 @@ def _cmd_train(args) -> int:
         _parse_height(args.h), data.n_rows, r, args.n_min, tree=args.algorithm != "base"
     )
     cfg = RadonConfig(r=r, h=h, seed=args.seed, n_min=args.n_min, workers=args.workers)
-    hyp, _ = fit(args.algorithm, spec, data, cfg)
+    with _naming(args.data):
+        hyp, _ = fit(args.algorithm, spec, data, cfg)
 
     model = {
         "weights": [float(w) for w in hyp.weights],
@@ -331,7 +357,13 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"model file {args.model}: task must be one of {TASKS}, got {task!r}")
 
     data = resolve_dataset({"source": "file", "path": args.data, "format": args.format}, 0)
-    scores = predict_score(hyp, data.x)
+    if hyp.dim != data.dim + hyp.fit_bias:
+        raise ConfigError(
+            f"model file {args.model} holds {hyp.dim} weights, but {args.data}'s "
+            f"{data.dim} features need {data.dim + hyp.fit_bias} (fit_bias {hyp.fit_bias})"
+        )
+    with _naming(args.data):
+        scores = predict_score(hyp, data.x)
     binary = task == "binary"
     rows = [
         {

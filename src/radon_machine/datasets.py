@@ -6,6 +6,7 @@ of a checked dataset with ``ndarray.take`` and does not check them again.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ParseError, ShapeError
 
 TASKS = ("binary", "regression")
+FORMATS = ("csv", "svmlight")
 
 # Cap on the cells of a dense feature matrix built from an svmlight file
 # (rows x largest index) or by a synthetic generator (n x d); 10^8 float64
@@ -117,7 +119,7 @@ def load_dataset(path: str | Path, fmt: str = "csv") -> Dataset:
         return _load_csv(path)
     if fmt == "svmlight":
         return _load_svmlight(path)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
 def _load_csv(path: Path) -> Dataset:
@@ -131,8 +133,9 @@ def _load_csv(path: Path) -> Dataset:
 def _loadtxt_csv(path: Path) -> np.ndarray | None:
     r"""The data rows through np.loadtxt, or None where _parse_csv_lines
     must decide: a cell loadtxt rejects, a column count unlike the header's,
-    a single column (no feature), no data rows, or a byte on which the two
-    parsers disagree.  Both split lines at \n, \r and \r\n and round cells
+    a single column (no feature), no data rows, a non-finite cell (nan, inf
+    or a literal past float range), or a byte on which the two parsers
+    disagree.  Both split lines at \n, \r and \r\n and round cells
     correctly, but str.splitlines also breaks lines at \x0b, \x0c,
     \x1c-\x1e and at non-ASCII separators, and loadtxt strips \x1c-\x1f
     around a cell, which float() rejects.
@@ -148,12 +151,14 @@ def _loadtxt_csv(path: Path) -> np.ndarray | None:
             mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError:
         return None
-    return mat if mat.shape[0] > 0 and mat.shape[1] == n_cols > 1 else None
+    valid = mat.shape[0] > 0 and mat.shape[1] == n_cols > 1 and np.isfinite(mat).all()
+    return mat if valid else None
 
 
 def _parse_csv_lines(path: Path) -> np.ndarray:
-    """Parse the CSV one line at a time; errors name the offending line."""
-    lines = path.read_text().splitlines()
+    """Parse the CSV one line at a time; errors name the offending line,
+    and a non-finite cell is one."""
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     n_cols = len(lines[0].split(","))
@@ -167,19 +172,31 @@ def _parse_csv_lines(path: Path) -> np.ndarray:
         if len(cells) != n_cols:
             raise ParseError(f"{path}: line {lineno}: expected {n_cols} columns, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            cell = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+            raise ParseError(f"{path}: line {lineno}: non-finite value {cell!r}")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
+
+
+def _read_text(path: Path) -> str:
+    """The file's text; a ParseError naming it unless it is UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_svmlight(path: Path) -> Dataset:
     labels: list[float] = []
     sparse_rows: list[list[tuple[int, float]]] = []
     max_index = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -188,6 +205,8 @@ def _load_svmlight(path: Path) -> Dataset:
             labels.append(float(fields[0]))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: bad label {fields[0]!r}") from exc
+        if not math.isfinite(labels[-1]):
+            raise ParseError(f"{path}: line {lineno}: non-finite label {fields[0]!r}")
         entries = []
         for field in fields[1:]:
             try:
@@ -198,6 +217,8 @@ def _load_svmlight(path: Path) -> Dataset:
                 raise ParseError(f"{path}: line {lineno}: bad entry {field!r}") from exc
             if idx < 1:
                 raise ParseError(f"{path}: line {lineno}: indices are 1-based, got {idx}")
+            if not math.isfinite(val):
+                raise ParseError(f"{path}: line {lineno}: non-finite value in {field!r}")
             entries.append((idx, val))
             max_index = max(max_index, idx)
         sparse_rows.append(entries)
@@ -218,12 +239,15 @@ def _load_svmlight(path: Path) -> Dataset:
 
 def _check_synth_shape(n: int, d: int) -> None:
     """ConfigError unless a synthetic n x d matrix is non-empty and within
-    MAX_DENSE_CELLS; checked before anything is allocated."""
-    if n < 1 or d < 1:
-        raise ConfigError("need n >= 1 and d >= 1")
+    MAX_DENSE_CELLS; checked before anything is allocated.  Its messages,
+    and the generators' own, start with the dataset field at fault."""
+    for name, value in (("n", n), ("d", d)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     if n * d > MAX_DENSE_CELLS:
         raise ConfigError(
-            f"{n} rows x {d} columns exceed the cap of {MAX_DENSE_CELLS} dense cells"
+            f"n * d is too large: {n} rows x {d} columns exceed the cap of "
+            f"{MAX_DENSE_CELLS} dense cells"
         )
 
 
@@ -238,7 +262,7 @@ def synth_classification(
     """
     _check_synth_shape(n, d)
     if not 0.0 <= margin_noise <= 0.5:
-        raise ConfigError("margin_noise must lie in [0, 0.5]")
+        raise ConfigError(f"noise must lie in [0, 0.5], got {margin_noise}")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(d)
     w_true /= np.linalg.norm(w_true)
@@ -252,8 +276,8 @@ def synth_classification(
 def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> tuple[Dataset, np.ndarray]:
     """Linear responses with Gaussian noise of standard deviation noise_sd."""
     _check_synth_shape(n, d)
-    if noise_sd < 0.0:
-        raise ConfigError("noise_sd must be >= 0")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(d)
     w_true /= np.linalg.norm(w_true)
@@ -267,7 +291,7 @@ def kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
     if k > dataset.n_rows:
-        raise DataError(f"cannot split {dataset.n_rows} rows into {k} folds")
+        raise DataError(f"cannot split {dataset.n_rows} rows into cv_folds={k} folds")
     perm = np.random.default_rng(seed).permutation(dataset.n_rows)
     assignments = np.empty(dataset.n_rows, dtype=np.intp)
     assignments[perm] = np.arange(dataset.n_rows) % k

@@ -35,7 +35,9 @@ from .aggregation import (
     train_on_partitions,
 )
 from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
-from .datasets import Dataset, kfold, load_dataset, synth_classification, synth_regression
+from .datasets import (
+    FORMATS, Dataset, kfold, load_dataset, synth_classification, synth_regression
+)
 from .errors import ConfigError, require_number, require_seed
 from .learners import (
     Hypothesis, LearnerSpec, predict_score, train, with_bias_column, without_bias_column
@@ -98,20 +100,26 @@ class ExperimentConfig:
             raise ConfigError("algorithm set must be non-empty")
         for name in self.algorithms:
             if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
+                raise ConfigError(
+                    f"unknown algorithm {name!r} in algorithms, expected subset of {ALGORITHMS}"
+                )
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ConfigError(f"algorithms must be distinct, got {list(self.algorithms)}")
         for name in ("cv_folds", "n_min", "workers"):
             require_number(getattr(self, name), name, integer=True)
         require_seed(self.seed)
         if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
+            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.h != "max":
             require_number(self.h, "h, unless 'max',", integer=True)
             if self.h < 0:
-                raise ConfigError("h must be >= 0")
+                raise ConfigError(f"h must be >= 0, got {self.h}")
+        if self.n_min < 1:
+            raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string or null, got {self.out!r}")
         dataset_source(self.dataset)
         if self.bounds:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
@@ -198,20 +206,23 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
     """Build the dataset a config refers to (file or synthetic generator)."""
     source = dataset_source(spec)
     if source == "file":
-        path = spec.get("path")
-        if not path or not Path(path).exists():
-            raise ConfigError(f"dataset path not resolvable: {path!r}")
-        return load_dataset(path, spec.get("format", "csv"))
+        path, fmt = spec.get("path"), spec.get("format", "csv")
+        if fmt not in FORMATS:
+            raise ConfigError(f"dataset.format must be one of {FORMATS}, got {fmt!r}")
+        if not isinstance(path, str) or not path or not Path(path).exists():
+            raise ConfigError(f"dataset.path not resolvable: {path!r}")
+        return load_dataset(path, fmt)
     seed = spec.get("seed")
     seed = require_seed(default_seed) if seed is None else require_seed(seed, "dataset.seed")
     n = int(require_number(spec.get("n", 20000), "dataset.n", integer=True))
     d = int(require_number(spec.get("d", 8), "dataset.d", integer=True))
-    if source == "synthetic-classification":
-        noise = float(require_number(spec.get("noise", 0.1), "dataset.noise"))
-        data, _ = synth_classification(n, d, noise, seed)
-        return data
-    noise_sd = float(require_number(spec.get("noise_sd", 0.1), "dataset.noise_sd"))
-    data, _ = synth_regression(n, d, noise_sd, seed)
+    classify = source == "synthetic-classification"
+    key = "noise" if classify else "noise_sd"
+    noise = _as_float(require_number(spec.get(key, 0.1), f"dataset.{key}"))
+    try:
+        data, _ = (synth_classification if classify else synth_regression)(n, d, noise, seed)
+    except ConfigError as exc:  # the message starts with the field's name
+        raise ConfigError(f"dataset.{exc}") from None
     return data
 
 
@@ -229,7 +240,7 @@ def resolve_height(h: int | str, n_rows: int, r: int, n_min: int, tree: bool = T
     h = int(h)
     if h > h_max:
         raise ConfigError(
-            f"height {h} infeasible for {n_rows} rows with r={r}, n_min={n_min}; h_max={h_max}"
+            f"h={h} is infeasible for {n_rows} rows with r={r}, n_min={n_min}; h_max={h_max}"
         )
     return h
 
@@ -362,8 +373,9 @@ def fit(
 
     ``base`` trains on all rows with seed cfg.seed, ``radon`` runs the Radon
     machine with ``cfg``, and ``avg`` averages the cfg.r ** cfg.h partition
-    models the Radon machine would fold.  Returns the hypothesis and the
-    wall times of its partitioning, learning and aggregation phases.
+    models the Radon machine would fold; both check the tree first, as
+    radon_machine does.  Returns the hypothesis and the wall times of its
+    partitioning, learning and aggregation phases.
     """
     return _fit_all((name,), spec, data, cfg)[name]
 
@@ -384,7 +396,7 @@ def _fit_all(
     for name in names:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if "radon" in names:
+    if any(name != "base" for name in names):  # radon and avg fold r^h partitions
         _check_tree(spec, data, cfg)
     if any(_folds(name, cfg.h) for name in names):
         weights, times = train_on_partitions(spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers)
@@ -462,9 +474,9 @@ def mc_confidence(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     require_seed(seed)
-    if trials * r**h > MC_MAX_LEAF_DRAWS:
+    if trials > MC_MAX_LEAF_DRAWS or h > max_height(MC_MAX_LEAF_DRAWS, r, trials):
         raise ConfigError(
-            f"trials * r^h = {trials * r**h} exceeds the cap of {MC_MAX_LEAF_DRAWS} leaf draws"
+            f"trials * r^h exceeds the cap of {MC_MAX_LEAF_DRAWS} at trials={trials}, r={r}, h={h}"
         )
 
     counts = np.zeros(h + 1, dtype=np.int64)

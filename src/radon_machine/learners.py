@@ -64,7 +64,7 @@ class LearnerSpec:
 
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
-            raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_NAMES}")
+            raise ConfigError(f"learner.loss must be one of {LOSS_NAMES}, got {self.loss!r}")
         require_number(self.reg_lambda, "learner.reg_lambda")
         require_number(self.epochs, "learner.epochs", integer=True)
         require_number(self.learning_rate0, "learner.learning_rate0")
@@ -176,7 +176,7 @@ def _check_labels(spec: LearnerSpec, data: Dataset) -> None:
         raise DataError("cannot train on an empty dataset")
     if spec.loss in CLASSIFICATION_LOSSES:
         if not np.all(np.isin(data.y, (-1.0, 1.0))):
-            raise DataError(f"{spec.loss} loss requires labels in {{-1, +1}}")
+            raise DataError(f"learner.loss {spec.loss!r} requires labels in {{-1, +1}}")
 
 
 def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:

@@ -17,6 +17,7 @@ from radon_machine import (
     sample_complexity_vc,
     sequential_sample_size,
 )
+from radon_machine.bounds import _as_float, _exact_pow, _pow
 
 
 class TestBoostedConfidence:
@@ -203,3 +204,54 @@ class TestMonotonicityGrid:
                             prev_log, prev_m = boost.log2_delta, m
                             checked += 1
         assert checked >= 200
+
+
+class TestPastFloatRange:
+    """Magnitudes past float range are inf, built without the huge integer;
+    within range the exact integers give the same bits as before."""
+
+    def test_exact_power_matches_the_built_integer_around_the_boundary(self):
+        for base in range(2, 13):
+            edge = int(1024 / math.log2(base))
+            for exponent in range(max(0, edge - 3), edge + 4):
+                assert _as_float(_exact_pow(base, exponent)) == _as_float(base**exponent)
+        assert _exact_pow(3, 10**400) == math.inf
+
+    def test_float_power_saturates(self):
+        assert _pow(3.0, 10**6) == math.inf
+        assert _pow(3.0, 10**400) == math.inf
+        assert _pow(1.0, 10**400) == 1.0
+        assert _pow(0.5, 10**400) == 0.0
+        assert _pow(2.0, 10) == 1024.0
+
+    def test_tall_tree_runtime_is_inf(self):
+        assert runtime_model(10, 4, 600, 1, 1) == math.inf
+        assert runtime_model(10, 3, 10**400, 1, 1) == math.inf
+
+    def test_huge_worker_count_leaves_the_queue_factor_at_one(self):
+        # c >= r^h: every partition runs at once and every level takes one round
+        assert runtime_model(10, 3, 2, 1, 10**400) == runtime_model(10, 3, 2, 1, 100)
+        assert runtime_model(10, 3, 700, 1, 10**400) == 10 + 700 * 27
+
+    @pytest.mark.parametrize("h", [2000, 10**12])
+    def test_tall_tree_report_has_no_h_star(self, h):
+        report = efficiency_report(ComplexityParams(0.0, 1.0, 1, 1), 4, 0.125, h, 1)
+        assert report.m_sequential == report.n_radon == report.runtime_radon_model == math.inf
+        assert report.h_star is None
+        assert report.delta == 0.0
+        assert report.speedup_estimate == math.inf
+        assert report.data_inefficiency == math.inf
+
+    def test_huge_exponents_give_inf(self):
+        report = efficiency_report(ComplexityParams(0.0, 1.0, 100_000, 100_000), 4, 0.125, 3, 1)
+        assert report.n_base == report.m_sequential == report.speedup_estimate == math.inf
+        assert report.h_star is None
+
+    def test_underflowing_base_cost_divides_nothing_by_zero(self):
+        params = ComplexityParams(alpha_eps=1e-200, beta_eps=0.0, k=1, kappa=2)
+        assert efficiency_report(params, 4, 0.125, 0, 1).speedup_estimate == 1.0
+        assert efficiency_report(params, 4, 0.125, 1, 1).speedup_estimate == 0.0
+
+    def test_zero_sample_complexity_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="beta_eps and alpha_eps are both 0"):
+            ComplexityParams(alpha_eps=0.0, beta_eps=0.0, k=1, kappa=1)

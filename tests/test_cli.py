@@ -523,6 +523,42 @@ class TestBoundsFlagRangeError:
         assert f"config error: {message}" in capsys.readouterr().err
 
 
+class TestBoundsPastFloatRange:
+    """Tall trees, huge exponents and huge worker counts print inf, not a traceback."""
+
+    def _table(self, tmp_path, capsys, *flags):
+        out = tmp_path / "t.json"
+        assert main(["bounds", *flags, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        return json.loads(out.read_text())["rows"]
+
+    def test_tall_tree(self, tmp_path, capsys):
+        rows = self._table(tmp_path, capsys, "--h-min", "590", "--h-max", "600")
+        assert rows[-1]["runtime_radon_model"] == rows[-1]["n_radon"] == float("inf")
+        assert rows[0]["m_sequential"] < float("inf")
+
+    def test_table_at_the_height_cap(self, tmp_path, capsys):
+        (row,) = self._table(tmp_path, capsys, "--h-min", "1024", "--h-max", "1024")
+        assert row["h_star"] is None and row["m_sequential"] == float("inf")
+
+    def test_huge_exponents(self, tmp_path, capsys):
+        rows = self._table(tmp_path, capsys, "--k", "100000", "--kappa", "100000")
+        assert all(row["speedup_estimate"] == float("inf") for row in rows[1:])
+
+    def test_huge_worker_count(self, tmp_path, capsys):
+        rows = self._table(tmp_path, capsys, "--workers", str(10**400))
+        assert [row["runtime_radon_model"] for row in rows] == [3.0 + 64 * h for h in range(5)]
+
+    def test_benchmark_bounds_section_with_huge_exponents(self, tmp_path, capsys):
+        config = {"dataset": {"n": 2000, "d": 2}, "learner": {"loss": "squared"},
+                  "algorithms": ["radon"], "cv_folds": 2, "n_min": 50,
+                  "bounds": {"alpha_eps": 0, "beta_eps": 1, "k": 100000, "kappa": 100000},
+                  "out": str(tmp_path / "b.json")}
+        assert main(_config(tmp_path, config)) == 0
+        report = json.loads((tmp_path / "b.json").read_text())
+        assert report["bounds"]["speedup_estimate"] == float("inf")
+
+
 class TestUnknownSectionKeys:
     @pytest.mark.parametrize(
         "command, payload, field",
@@ -718,6 +754,12 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _write_bytes(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    return str(path)
+
+
 def _model(tmp_path):
     return _write(tmp_path, "m.json", '{"weights": [0.5, -0.5, 0.0], "fit_bias": true}')
 
@@ -730,9 +772,51 @@ def _config(tmp_path, payload):
 EXIT_CASES = [
     ("config-not-json", lambda t: ["benchmark", "--config", _write(t, "bad.json", "{bad")], 2,
      "bad.json is not valid JSON"),
-    ("cv-folds-1", lambda t: _config(t, {"cv_folds": 1}), 2, "cv_folds"),
-    ("h-negative", lambda t: _config(t, {"h": -1}), 2, "h must be >= 0"),
-    ("workers-0", lambda t: _config(t, {"workers": 0}), 2, "workers"),
+    ("cv-folds-1", lambda t: _config(t, {"cv_folds": 1}), 2, "cv_folds must be >= 2, got 1"),
+    ("h-negative", lambda t: _config(t, {"h": -1}), 2, "h must be >= 0, got -1"),
+    ("workers-0", lambda t: _config(t, {"workers": 0}), 2, "workers must be >= 1, got 0"),
+    ("n-min-0", lambda t: _config(t, {"n_min": 0}), 2, "n_min must be >= 1, got 0"),
+    ("dataset-n-0", lambda t: _config(t, {"dataset": {"n": 0}}), 2,
+     "dataset.n must be >= 1, got 0"),
+    ("dataset-d-0", lambda t: _config(t, {"dataset": {"d": 0}}), 2,
+     "dataset.d must be >= 1, got 0"),
+    ("dataset-noise", lambda t: _config(t, {"dataset": {"noise": 0.7}}), 2,
+     "dataset.noise must lie in [0, 0.5], got 0.7"),
+    ("dataset-noise-sd", lambda t: _config(
+        t, {"dataset": {"source": "synthetic-regression", "noise_sd": float("nan")}}), 2,
+     "dataset.noise_sd must be finite and >= 0, got nan"),
+    ("dataset-format", lambda t: _config(
+        t, {"dataset": {"source": "file", "path": "d.xml", "format": "xml"}}), 2,
+     "dataset.format must be one of ('csv', 'svmlight'), got 'xml'"),
+    ("dataset-path", lambda t: _config(t, {"dataset": {"source": "file", "path": 5}}), 2,
+     "dataset.path not resolvable: 5"),
+    ("cv-folds-above-rows", lambda t: _config(t, {"dataset": {"n": 5}, "cv_folds": 6}), 3,
+     "cannot split 5 rows into cv_folds=6 folds"),
+    ("out-not-a-path", lambda t: _config(t, {"out": 1}), 2, "out must be a path string"),
+    ("learner-loss", lambda t: _config(t, {"learner": {"loss": "l1"}}), 2,
+     "learner.loss must be one of ('logistic', 'hinge', 'squared'), got 'l1'"),
+    ("algorithm-unknown", lambda t: _config(t, {"algorithms": ["base", "turbo"]}), 2,
+     "unknown algorithm 'turbo' in algorithms"),
+    ("config-int-past-digit-limit", lambda t: ["benchmark", "--config", _write(
+        t, "big.json", '{"seed": ' + "1" * 5000 + "}")], 2, "big.json is not valid JSON"),
+    ("out-in-missing-dir", lambda t: ["mc-bound", "--trials", "1000", "--h", "1", "--out",
+                                      str(t / "none" / "mc.json")], 2, "none/mc.json"),
+    ("mc-huge-h", lambda t: ["mc-bound", "--h", str(10**12)], 2,
+     f"cap of 100000000 at trials=10000, r=4, h={10**12}"),
+    ("mc-delta-base-past-float", lambda t: ["mc-bound", "--config", _write(
+        t, "mc.json", '{"mc": {"delta_base": 1' + "0" * 400 + "}}")], 2, "delta_base"),
+    ("bounds-h-max-cap", lambda t: ["bounds", "--h-max", "1025"], 2,
+     "h_max must be <= 1024, got 1025"),
+    ("bounds-h-min-above-h-max", lambda t: ["bounds", "--h-min", "5"], 2,
+     "h_min 5 exceeds h_max 4"),
+    ("bounds-r-0", lambda t: ["bounds", "--r", "0"], 2, "r must be >= 3"),
+    ("bounds-r-past-2-64", lambda t: ["bounds", "--r", str(2**64)], 2,
+     "r must be >= 3 and below 2**64"),
+    ("bounds-zero-sample-size", lambda t: ["bounds", "--beta-eps", "0"], 2,
+     "bounds.beta_eps and alpha_eps are both 0"),
+    ("predict-too-few-weights", lambda t: ["predict", "--model", _model(t), "--data",
+                                           _write(t, "three.csv", "a,b,c,y\n1,2,3,1\n")],
+     2, "m.json holds 3 weights, but"),
     ("mc-r-2", lambda t: ["mc-bound", "--r", "2"], 2, "r must be >= 3 (a Radon number), got 2"),
     ("mc-h-negative", lambda t: ["mc-bound", "--h", "-1"], 2, "h must be >= 0 (a tree height)"),
     ("mc-config-r-2", lambda t: ["mc-bound", "--config", _write(t, "mc.json", '{"mc": {"r": 2}}')],
@@ -759,6 +843,22 @@ EXIT_CASES = [
     ("label-only-csv-predict", lambda t: ["predict", "--model", _model(t), "--data",
                                           _write(t, "y.csv", "label\n1\n0\n")],
      3, "y.csv: line 1: need at least one feature column"),
+    ("csv-nan-cell", lambda t: ["train", "--data", _write(t, "n.csv", "a,y\n1,1\nnan,0\n")],
+     3, "n.csv: line 3: non-finite value 'nan'"),
+    ("csv-overflowing-cell", lambda t: ["predict", "--model", _model(t), "--data",
+                                        _write(t, "o.csv", "a,b,y\n1,-1e999,1\n")],
+     3, "o.csv: line 2: non-finite value '-1e999'"),
+    ("svmlight-inf-value", lambda t: ["train", "--data", _write(t, "i.svm", "1 1:2\n-1 2:inf\n"),
+                                      "--format", "svmlight"], 3,
+     "i.svm: line 2: non-finite value in '2:inf'"),
+    ("svmlight-nan-label", lambda t: ["train", "--data", _write(t, "l.svm", "nan 1:2\n"),
+                                      "--format", "svmlight"], 3,
+     "l.svm: line 1: non-finite label 'nan'"),
+    ("not-utf8", lambda t: ["train", "--data", _write_bytes(t, "b.csv", b"a,y\n\xff,1\n")], 3,
+     "b.csv: not UTF-8 text"),
+    ("training-error-names-the-file", lambda t: [
+        "train", "--data", _write(t, "big.csv", "a,y\n" + "1e308,1\n-1e308,-1\n" * 10),
+        "--n-min", "5"], 3, "(data file "),
 ]
 
 

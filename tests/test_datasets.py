@@ -415,3 +415,69 @@ class TestSubset:
             data.subset([[0, 1]])
         with pytest.raises(IndexError):
             data.subset([10])
+
+
+class TestNonFiniteCells:
+    """A non-finite cell is a ParseError naming the file and the line; a
+    valid CSV still loads through np.loadtxt alone."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400", "-NaN"])
+    def test_csv_cell(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,y\n1,2,1\n3,{cell},-1\n")
+        assert _loadtxt_csv(path) is None
+        with pytest.raises(ParseError, match=f"d.csv: line 3: non-finite value '{cell}'$"):
+            load_dataset(path, "csv")
+
+    def test_csv_label(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n1,inf\n")
+        with pytest.raises(ParseError, match="line 2: non-finite value 'inf'"):
+            load_dataset(path, "csv")
+
+    def test_valid_csv_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1e308,-1e308,1\n0,2,-1\n")
+
+        def per_line(path):
+            raise AssertionError("a valid file went through the per-line parser")
+
+        monkeypatch.setattr(datasets, "_parse_csv_lines", per_line)
+        assert load_dataset(path, "csv").x[0, 1] == -1e308
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1:0.5\n-1 2:nan\n", "line 2: non-finite value in '2:nan'"),
+            ("1 1:0.5\n-1 1:-1e999\n", "line 2: non-finite value in '1:-1e999'"),
+            ("inf 1:0.5\n", "line 1: non-finite label 'inf'"),
+        ],
+    )
+    def test_svmlight(self, tmp_path, text, message):
+        path = tmp_path / "d.svm"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"d.svm: {message}$"):
+            load_dataset(path, "svmlight")
+
+    @pytest.mark.parametrize("fmt", ["csv", "svmlight"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, fmt):
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"a,y\n1,\xff\n" if fmt == "csv" else b"1 1:\xff\n")
+        with pytest.raises(ParseError, match="d.bin: not UTF-8 text"):
+            load_dataset(path, fmt)
+
+
+class TestGeneratorMessagesNameTheArgument:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: synth_classification(0, 2, 0.1, seed=0), "n must be >= 1, got 0"),
+            (lambda: synth_regression(5, -1, 0.1, seed=0), "d must be >= 1, got -1"),
+            (lambda: synth_classification(5, 2, 0.7, seed=0), r"noise must lie in \[0, 0.5\]"),
+            (lambda: synth_regression(5, 2, float("inf"), seed=0),
+             "noise_sd must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_message_starts_with_the_name(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            call()

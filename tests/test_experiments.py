@@ -23,6 +23,7 @@ from radon_machine import (
     radon_machine,
     run_benchmark,
     synth_classification,
+    synth_regression,
     train,
 )
 from radon_machine import aggregation, experiments, kfold, learners
@@ -369,6 +370,66 @@ class TestFitRadonChecks:
         machine, fitted = self._errors(data, spec, RadonConfig(r=5, h=2, seed=0, n_min=100))
         assert machine == fitted
         assert machine[0] is DataError and "need at least 2500 rows" in machine[1]
+
+
+class TestOneCapacityRule:
+    """radon_machine, fit("radon"), fit("avg") and mc_confidence decide a
+    tree's capacity through max_height and never build r^h for a height it
+    rejects."""
+
+    @staticmethod
+    def _raised(run):
+        with pytest.raises((ConfigError, DataError)) as info:
+            run()
+        return type(info.value), str(info.value)
+
+    def _fits(self, spec, data, cfg):
+        return [
+            self._raised(lambda: radon_machine(spec, data, cfg)),
+            *(self._raised(lambda name=name: fit(name, spec, data, cfg)) for name in ("radon", "avg")),
+        ]
+
+    def test_avg_is_checked_as_radon_is(self):
+        data, _ = synth_classification(400, 2, 0.1, seed=0)
+        spec = LearnerSpec(loss="squared", fit_bias=True)
+        few_rows = self._fits(spec, data, RadonConfig(r=5, h=2, seed=0, n_min=100))
+        assert few_rows == [few_rows[0]] * 3
+        assert few_rows[0][0] is DataError and "need at least 2500 rows" in few_rows[0][1]
+        wrong_r = self._fits(spec, data, RadonConfig(r=4, h=1, seed=0))
+        assert wrong_r == [wrong_r[0]] * 3 and "expected r = 5" in wrong_r[0][1]
+
+    @pytest.mark.parametrize("h", [10**12, 10**400])
+    def test_a_huge_height_is_a_data_error_that_builds_no_power(self, h):
+        data, _ = synth_classification(400, 3, 0.1, seed=0)
+        spec = LearnerSpec(loss="squared")  # r = 6
+        errors = self._fits(spec, data, RadonConfig(r=6, h=h, seed=0))
+        assert errors == [errors[0]] * 3
+        assert errors[0] == (
+            DataError, f"need at least 100 * 6^{h} rows for r=6, h={h}, n_min=100; got 400"
+        )
+
+    def test_same_verdict_as_the_row_count_rule(self):
+        spec = LearnerSpec(loss="squared", fit_bias=False)
+        for r in (3, 4, 5):
+            for n_min in (1, 2, 7):
+                for h in range(5):
+                    need = r**h * n_min
+                    for n_rows in {max(1, need - 1), need, need + 1}:
+                        data, _ = synth_regression(n_rows, r - 2, 0.1, seed=0)
+                        cfg = RadonConfig(r=r, h=h, seed=0, n_min=n_min)
+                        if h > 0 and n_rows < need:
+                            with pytest.raises(DataError, match=f"need at least {need} rows"):
+                                aggregation._check_tree(spec, data, cfg)
+                        else:
+                            aggregation._check_tree(spec, data, cfg)
+
+    def test_mc_cap_holds_at_the_product_and_names_h(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MC_MAX_LEAF_DRAWS", 16_000)
+        assert mc_confidence(4, 2, 0.1, 1000, seed=0)["rows"][-1]["samples"] == 1000
+        for r, h, trials in [(4, 3, 1000), (4, 0, 16_001), (4, 10**400, 1000), (10**400, 1, 1000)]:
+            with pytest.raises(ConfigError, match=f"exceeds the cap of 16000 at "
+                                                  f"trials={trials}, r={r}, h={h}$"):
+                mc_confidence(r, h, 0.1, trials, seed=0)
 
 
 

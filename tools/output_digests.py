@@ -24,7 +24,11 @@ output, then an ``all`` line digesting the lines above it:
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
   each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
   on and off;
-- ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3.
+- ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3;
+- ``bounds``: the rows of ``bounds_table`` for each ``k`` and ``kappa`` in
+  1-3, over ``r`` from 3 to 12 at ``delta_base`` 1/(2r), heights 0-40,
+  ``c_workers`` 1, 4 and 1000, and ``(alpha_eps, beta_eps)`` (0, 1) and
+  (2.5, 0.7), read through ``repr`` so every float's bits count.
 
 It runs in a few seconds on one CPU.
 """
@@ -143,6 +147,25 @@ def mc_digests(rm, seeds=SEEDS) -> dict[str, str]:
     }
 
 
+def bounds_digests(rm, exponents=(1, 2, 3)) -> dict[str, str]:
+    """Digest of the bounds_table rows of each (k, kappa) over the grid above."""
+    digests = {}
+    for k in exponents:
+        for kappa in exponents:
+            tables = [
+                rm.bounds_table(
+                    rm.ComplexityParams(alpha_eps=alpha, beta_eps=beta, k=k, kappa=kappa),
+                    r, 1.0 / (2 * r), range(41), c_workers,
+                )
+                for alpha, beta in ((0.0, 1.0), (2.5, 0.7))
+                for r in range(3, 13)
+                for c_workers in (1, 4, 1000)
+            ]
+            blob = json.dumps(tables, sort_keys=True).encode()
+            digests[f"bounds k={k} kappa={kappa}"] = _sha256(blob)
+    return digests
+
+
 def _import_tree(root: Path):
     """radon_machine, its cli and perfbench's workloads from the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -164,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         **radon_machine_digests(rm),
         **train_digests(cli),
         **mc_digests(rm),
+        **bounds_digests(rm),
     }
     lines = [f"{name} {digest}" for name, digest in digests.items()]
     lines.append(f"all {_sha256(chr(10).join(lines).encode())}")
