@@ -44,7 +44,7 @@ from .radon_points import radon_number
 # The keys each subcommand reads from its config section.
 MC_KEYS = ("r", "h", "delta_base", "trials", "seed", "workers")
 BOUNDS_TABLE_KEYS = (*BOUNDS_KEYS, "r", "h_min", "h_max", "c_workers")
-# The bounds table's last height: above it 2^h is past float range, so the
+# The bounds table's last height: from it on 2^h is past float range, so the
 # bound and the sequential sample sizes are 0 or inf.
 BOUNDS_MAX_HEIGHT = 1024
 
