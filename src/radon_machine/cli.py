@@ -212,7 +212,9 @@ def _cmd_benchmark(args) -> int:
     if overrides:
         config = replace(config, **overrides)
 
-    report = run_benchmark(config)
+    source = config.dataset.get("source")
+    with _naming(config.dataset.get("path") if source == "file" else None):
+        report = run_benchmark(config)
     print(f"dataset: n={report['dataset']['n']} d={report['dataset']['d']} "
           f"task={report['dataset']['task']}  metric={report['metric']}")
     for name, summary in report["algorithms"].items():

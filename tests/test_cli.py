@@ -856,6 +856,10 @@ EXIT_CASES = [
      "l.svm: line 1: non-finite label 'nan'"),
     ("not-utf8", lambda t: ["train", "--data", _write_bytes(t, "b.csv", b"a,y\n\xff,1\n")], 3,
      "b.csv: not UTF-8 text"),
+    ("benchmark-error-names-the-file", lambda t: _config(t, {
+        "dataset": {"source": "file", "path": str(_write_overflowing_csv(t))},
+        "learner": {"loss": "hinge"}, "cv_folds": 2, "n_min": 10}), 3,
+     "overflow the scores <w, x> (a score is not finite) (data file "),
     ("training-error-names-the-file", lambda t: [
         "train", "--data", _write(t, "big.csv", "a,y\n" + "1e308,1\n-1e308,-1\n" * 10),
         "--n-min", "5"], 3, "(data file "),
