@@ -21,8 +21,8 @@ per level: experiments' CV folds and ``fit`` take that path.  Only
 reports each level's pin fallbacks and certificate residuals, and its SGD
 at one worker makes one train() call per partition (``_train_each``); the
 benchmark self-test counts the spans of both.  Partitions are read-only
-views of one permutation, cached per (rows, seed), so a CV fold draws it
-once to train and to checksum.
+np.array_split views of one permutation, cached per (rows, parts, seed), so
+a CV fold draws them once to train and to checksum.
 """
 
 from __future__ import annotations
@@ -106,33 +106,26 @@ def max_height(n_rows: int, r: int, n_min: int) -> int:
 def partition_indices(n_rows: int, parts: int, seed: int) -> list[np.ndarray]:
     """Seeded uniform shuffle, then contiguous blocks of near-equal size.
 
-    The first ``n_rows % parts`` blocks receive one extra row.  Every row
-    appears in exactly one block.  The blocks are read-only views of one
-    cached permutation per (n_rows, seed).
+    The first ``n_rows % parts`` blocks receive one extra row
+    (np.array_split's rule).  Every row appears in exactly one block.  The
+    blocks are read-only views of the permutation, cached per (n_rows,
+    parts, seed); each call returns a fresh list of them.
     """
     if parts < 1:
         raise ConfigError(f"parts must be >= 1, got {parts}")
     if parts > n_rows:
         raise DataError(f"cannot split {n_rows} rows into {parts} non-empty parts")
-    perm = _permutation(n_rows, require_seed(seed))
-    base, extra = divmod(n_rows, parts)
-    blocks = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        blocks.append(perm[start : start + size])
-        start += size
-    return blocks
+    return list(_blocks(n_rows, parts, require_seed(seed)))
 
 
 @functools.lru_cache(maxsize=2)
-def _permutation(n_rows: int, seed: int) -> np.ndarray:
-    """The seeded shuffle of partition_indices, read-only.  A k-fold run
-    partitions at most two train-split sizes, each once to train and once
-    for its checksum, so two entries draw each permutation once."""
+def _blocks(n_rows: int, parts: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The blocks of partition_indices.  A k-fold run partitions at most two
+    train-split sizes, each once to train and once for its checksum, so two
+    entries draw each permutation once."""
     perm = np.random.default_rng(seed).permutation(n_rows)
     perm.flags.writeable = False
-    return perm
+    return tuple(np.array_split(perm, parts))
 
 
 def partition_dataset(data: Dataset, parts: int, seed: int) -> list[Dataset]:

@@ -252,6 +252,11 @@ def efficiency_report(
     """
     boosted = boosted_confidence(r, delta_base, h)
     n_base = params.base_sample_size(delta_base)
+    if not n_base:
+        raise ConfigError(
+            f"alpha_eps, beta_eps and k give a base sample size of 0 at delta_base={delta_base}: "
+            "(alpha_eps + beta_eps * log2(1 / delta_base)) ** k is below the smallest float"
+        )
     n_radon = radon_sample_size(r, h, n_base)
     m_seq = sequential_sample_size(params, r, delta_base, h)
     m_approx = _as_float(_exact_pow(2, h)) * n_base
@@ -261,7 +266,13 @@ def efficiency_report(
     runtime_seq = _pow(m_seq, params.kappa)
     cost = _pow(n_base, params.kappa)  # 0 where n_base ** kappa underflows
     overhead = _as_float(h * r**3) / cost if cost else (math.inf if h else 0.0)
-    speedup = _as_float(_exact_pow(2, h * params.k * params.kappa)) / (1.0 + overhead)
+    gain = _as_float(_exact_pow(2, h * params.k * params.kappa))
+    speedup = gain / (1.0 + overhead)
+    if gain == overhead == math.inf:  # inf / inf: take the quotient in log2 space
+        per_kappa = _as_float(h * params.k) + math.log2(n_base)  # log2(2^(h k) * n_base)
+        kappa_term = _as_float(params.kappa) * per_kappa if per_kappa else 0.0  # no inf * 0
+        log2_speedup = kappa_term - math.log2(h * r**3)
+        speedup = math.inf if log2_speedup >= 1024 else 2.0**log2_speedup
     inefficiency = _pow(m_seq, math.log2(r)) if m_seq > 0 else math.inf
     ld_m = math.log2(m_seq) if m_seq > 1.0 else math.nan
     ratio = m_seq / ld_m if m_seq < math.inf else math.inf

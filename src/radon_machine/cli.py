@@ -2,9 +2,9 @@
 
 Subcommands: ``benchmark``, ``mc-bound``, ``bounds``, ``train``, ``predict``.
 Each takes only those of the shared flags ``--config``, ``--seed``,
-``--workers`` and ``--out`` that it reads; flags override config-file fields
-one-to-one.  Exit codes: 0 on success, 2 on configuration errors, 3 on data
-errors.
+``--workers`` and ``--out`` that it reads; a given flag replaces its
+config-file field before the fields are validated.  Exit codes: 0 on
+success, 2 on configuration errors, 3 on data errors.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -195,22 +194,12 @@ def _naming(path: str | None):
 
 def _cmd_benchmark(args) -> int:
     raw = _load_config_file(args.config)
-    config = ExperimentConfig.from_dict(raw) if raw else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.cv_folds is not None:
-        overrides["cv_folds"] = args.cv_folds
+    flags = {"seed": args.seed, "workers": args.workers, "out": args.out, "cv_folds": args.cv_folds}
     if args.algorithms is not None:
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
+        flags["algorithms"] = args.algorithms.split(",")
     if args.h is not None:
-        overrides["h"] = _parse_height(args.h)
-    if overrides:
-        config = replace(config, **overrides)
+        flags["h"] = _parse_height(args.h)
+    config = ExperimentConfig.from_dict(raw | {k: v for k, v in flags.items() if v is not None})
 
     source = config.dataset.get("source")
     with _naming(config.dataset.get("path") if source == "file" else None):

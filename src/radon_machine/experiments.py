@@ -34,7 +34,7 @@ from .aggregation import (
     partition_indices,
     train_on_partitions,
 )
-from .bounds import BoundReport, ComplexityParams, _as_float, efficiency_report
+from .bounds import BoundReport, ComplexityParams, _as_float, _pow, efficiency_report
 from .datasets import (
     FORMATS, Dataset, kfold, load_dataset, synth_classification, synth_regression
 )
@@ -75,7 +75,10 @@ MC_CSV_COLUMNS = ["level", "empirical_bad_fraction", "theoretical_bound", "sampl
 # Trials per Monte-Carlo shard.  Each shard draws from its own seed, so the
 # fixed size fixes the results; it also bounds the memory of one shard's draws.
 MC_SHARD_TRIALS = 512
+# Caps on mc_confidence's draws: the trials * r^h leaves of a run, and the
+# floats of the (shard trials * r^h, r - 2) matrix of coordinates a shard draws.
 MC_MAX_LEAF_DRAWS = 100_000_000
+MC_MAX_SHARD_FLOATS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -478,6 +481,12 @@ def mc_confidence(
         raise ConfigError(
             f"trials * r^h exceeds the cap of {MC_MAX_LEAF_DRAWS} at trials={trials}, r={r}, h={h}"
         )
+    coordinates = min(trials, MC_SHARD_TRIALS) * (r - 2)  # per leaf of a shard
+    if coordinates > MC_MAX_SHARD_FLOATS or h > max_height(MC_MAX_SHARD_FLOATS, r, coordinates):
+        raise ConfigError(
+            f"a shard's min(trials, {MC_SHARD_TRIALS}) * r^h * (r - 2) coordinates exceed the cap "
+            f"of {MC_MAX_SHARD_FLOATS} at trials={trials}, r={r}, h={h}"
+        )
 
     counts = np.zeros(h + 1, dtype=np.int64)
     for idx, start in enumerate(range(0, trials, MC_SHARD_TRIALS)):
@@ -487,15 +496,11 @@ def mc_confidence(
     rows = []
     for level in range(h + 1):
         samples = trials * r ** (h - level)
-        try:
-            bound = float(r * delta_base) ** (2**level)
-        except OverflowError:
-            bound = float("inf")
         rows.append(
             {
                 "level": level,
                 "empirical_bad_fraction": float(counts[level]) / samples,
-                "theoretical_bound": bound,
+                "theoretical_bound": _pow(r * delta_base, 2**level),
                 "samples": samples,
             }
         )

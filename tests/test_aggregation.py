@@ -536,11 +536,33 @@ class TestCachedPermutation:
             assert np.array_equal(a, b)
 
     def test_each_seed_of_one_row_count_draws_its_own_permutation(self):
-        aggregation._permutation.cache_clear()
+        aggregation._blocks.cache_clear()
         for seed in (1, 2, 1, 3, 2, 1):
             blocks = partition_indices(500, 7, seed)
             expected = np.random.default_rng(seed).permutation(500)
             assert np.array_equal(np.concatenate(blocks), expected)
+
+    @pytest.mark.parametrize("n, parts", [(1003, 40), (45, 1), (7, 7)])
+    def test_blocks_are_array_split_of_the_seeded_permutation(self, n, parts):
+        blocks = partition_indices(n, parts, 11)
+        expected = np.array_split(np.random.default_rng(11).permutation(n), parts)
+        assert len(blocks) == len(expected) == parts
+        assert all(np.array_equal(block, want) for block, want in zip(blocks, expected))
+        assert [b.size for b in blocks] == [n // parts + (i < n % parts) for i in range(parts)]
+
+    def test_a_repeated_call_hits_the_cache_and_draws_nothing(self, monkeypatch):
+        aggregation._blocks.cache_clear()
+        first = partition_indices(500, 7, 3)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a permutation was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        again = partition_indices(500, 7, 3)
+        assert aggregation._blocks.cache_info().hits == 1
+        assert again is not first and all(a is b for a, b in zip(again, first))
+        again.pop()  # each call's list is its own
+        assert len(partition_indices(500, 7, 3)) == 7
 
 
 def _tree_points(r: int, h: int, seed: int, fallback: bool) -> np.ndarray:

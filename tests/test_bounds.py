@@ -252,6 +252,26 @@ class TestPastFloatRange:
         assert efficiency_report(params, 4, 0.125, 0, 1).speedup_estimate == 1.0
         assert efficiency_report(params, 4, 0.125, 1, 1).speedup_estimate == 0.0
 
+    def test_speedup_of_two_infinite_terms_is_their_quotient(self):
+        # 2^(h k kappa) = 2^1200 and h r^3 / n_base^kappa = 600 * 64 / 1e-400 both pass float range
+        params = ComplexityParams(alpha_eps=1e-200, beta_eps=0.0, k=1, kappa=2)
+        speedup = efficiency_report(params, 4, 0.125, 600, 1).speedup_estimate
+        expected = 2.0 ** (1200 + 2 * math.log2(1e-200)) / (600 * 64)
+        assert speedup == pytest.approx(expected, rel=1e-12)
+        assert math.log2(speedup) == pytest.approx(-144.0, abs=1e-3)
+
+    def test_speedup_at_a_kappa_past_float_range(self):
+        params = ComplexityParams(alpha_eps=0.5, beta_eps=0.0, k=1, kappa=10**400)
+        # (2^(h k) n_base)^kappa / (h r^3): 1 / 64 at h = 1, inf at h = 2
+        assert efficiency_report(params, 4, 0.125, 1, 1).speedup_estimate == 1 / 64
+        assert efficiency_report(params, 4, 0.125, 2, 1).speedup_estimate == math.inf
+
+    def test_underflowing_base_sample_size_is_a_config_error_naming_its_fields(self):
+        params = ComplexityParams(alpha_eps=1e-200, beta_eps=0.0, k=2, kappa=1)
+        with pytest.raises(ConfigError, match="^alpha_eps, beta_eps and k give a base sample "
+                                              "size of 0 at delta_base=0.125"):
+            efficiency_report(params, 4, 0.125, 1, 1)
+
     def test_zero_sample_complexity_is_a_config_error(self):
         with pytest.raises(ConfigError, match="beta_eps and alpha_eps are both 0"):
             ComplexityParams(alpha_eps=0.0, beta_eps=0.0, k=1, kappa=1)

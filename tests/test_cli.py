@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from radon_machine import LearnerSpec, averaging_at_end, cli, synth_classification, train
+from radon_machine import (
+    LearnerSpec, averaging_at_end, cli, experiments, synth_classification, train
+)
 from radon_machine.cli import main
 
 
@@ -559,6 +561,77 @@ class TestBoundsPastFloatRange:
         assert report["bounds"]["speedup_estimate"] == float("inf")
 
 
+    def test_speedup_of_two_infinite_terms_prints_no_nan(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        flags = ["--alpha-eps", "1e-200", "--beta-eps", "0", "--kappa", "2", "--h-min", "600",
+                 "--h-max", "600", "--out", str(out)]
+        assert main(["bounds", *flags]) == 0
+        assert "nan" not in capsys.readouterr().out
+        (row,) = json.loads(out.read_text())["rows"]
+        assert 0.0 < row["speedup_estimate"] < 2.0**-143
+
+
+class TestBenchmarkFlagsOverFileFields:
+    """benchmark puts each given flag over its config-file field and validates once."""
+
+    CONFIG = {"dataset": {"n": 600, "d": 2}, "learner": {"loss": "squared"}, "cv_folds": 2,
+              "n_min": 20}
+
+    def test_seed_flag_replaces_an_invalid_file_seed(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = [*_config(tmp_path, {**self.CONFIG, "seed": -1}), "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 3
+
+    def test_each_flag_reaches_the_config_echo(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        flags = ["--seed", "5", "--workers", "2", "--out", str(out), "--cv-folds", "3",
+                 "--algorithms", "base,radon", "--h", "1"]
+        assert main([*_config(tmp_path, self.CONFIG), *flags]) == 0
+        echo = json.loads(out.read_text())["config"]
+        assert {key: echo[key] for key in ("seed", "workers", "out", "cv_folds", "algorithms", "h")} \
+            == {"seed": 5, "workers": 2, "out": str(out), "cv_folds": 3,
+                "algorithms": ["base", "radon"], "h": 1}
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (["--cv-folds", "1"], {"cv_folds": 1}),
+            (["--workers", "0"], {"workers": 0}),
+            (["--seed", "-1"], {"seed": -1}),
+            (["--h", "-1"], {"h": -1}),
+            (["--algorithms", "base,turbo"], {"algorithms": ["base", "turbo"]}),
+            (["--algorithms", "radon,radon"], {"algorithms": ["radon", "radon"]}),
+        ],
+    )
+    def test_a_flag_fails_as_its_file_field_does(self, tmp_path, capsys, flags, fields):
+        assert main([*_config(tmp_path, self.CONFIG), *flags]) == 2
+        from_flag = capsys.readouterr().err
+        assert main(_config(tmp_path, {**self.CONFIG, **fields})) == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith("config error: ") and next(iter(fields)) in from_flag
+
+    def test_missing_config_file_is_reported_before_a_bad_height(self, tmp_path, capsys):
+        assert main(["benchmark", "--config", str(tmp_path / "none.json"), "--h", "x"]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
+
+class TestMcShardCap:
+    """mc-bound caps the coordinates a shard draws, before it draws any."""
+
+    @pytest.mark.parametrize("r, h, trials", [(10**6, 0, 1000), (1000, 1, 10000), (60, 2, 10000)])
+    def test_a_wide_shard_is_a_config_error_that_draws_nothing(
+        self, monkeypatch, capsys, r, h, trials
+    ):
+        def no_draw(*args):
+            raise AssertionError("a shard was drawn")
+
+        monkeypatch.setattr(experiments, "_mc_shard", no_draw)
+        assert main(["mc-bound", "--r", str(r), "--h", str(h), "--trials", str(trials)]) == 2
+        err = capsys.readouterr().err
+        assert f"exceed the cap of 100000000 at trials={trials}, r={r}, h={h}\n" in err
+
+
 class TestUnknownSectionKeys:
     @pytest.mark.parametrize(
         "command, payload, field",
@@ -814,6 +887,13 @@ EXIT_CASES = [
      "r must be >= 3 and below 2**64"),
     ("bounds-zero-sample-size", lambda t: ["bounds", "--beta-eps", "0"], 2,
      "bounds.beta_eps and alpha_eps are both 0"),
+    ("bounds-sample-size-underflow", lambda t: ["bounds", "--alpha-eps", "1e-200", "--beta-eps",
+                                                "0", "--k", "2"], 2,
+     "alpha_eps, beta_eps and k give a base sample size of 0 at delta_base=0.125"),
+    ("benchmark-bounds-sample-size-underflow", lambda t: _config(t, {
+        "dataset": {"n": 600, "d": 2}, "learner": {"loss": "squared"}, "cv_folds": 2,
+        "n_min": 20, "bounds": {"alpha_eps": 1e-200, "beta_eps": 0, "k": 2}}), 2,
+     "alpha_eps, beta_eps and k give a base sample size of 0"),
     ("predict-too-few-weights", lambda t: ["predict", "--model", _model(t), "--data",
                                            _write(t, "three.csv", "a,b,c,y\n1,2,3,1\n")],
      2, "m.json holds 3 weights, but"),

@@ -431,14 +431,33 @@ class TestOneCapacityRule:
                                                   f"trials={trials}, r={r}, h={h}$"):
                 mc_confidence(r, h, 0.1, trials, seed=0)
 
+    def test_mc_shard_cap_holds_at_the_coordinate_count(self, monkeypatch):
+        # a shard of 512 trials at r = 4, h = 2 draws 512 * 16 leaves of 2 coordinates
+        monkeypatch.setattr(experiments, "MC_MAX_SHARD_FLOATS", 512 * 16 * 2)
+        assert mc_confidence(4, 2, 0.1, 1000, seed=0)["rows"][-1]["samples"] == 1000
+        monkeypatch.setattr(experiments, "MC_SHARD_TRIALS", 2000)  # a shard of all 1000 trials
+        monkeypatch.setattr(experiments, "MC_MAX_SHARD_FLOATS", 1000 * 16 * 2)
+        assert mc_confidence(4, 2, 0.1, 1000, seed=0)["rows"][-1]["samples"] == 1000
+
+        def no_draw(*args):
+            raise AssertionError("a shard was drawn")
+
+        monkeypatch.setattr(experiments, "_mc_shard", no_draw)
+        monkeypatch.setattr(experiments, "MC_SHARD_TRIALS", 512)
+        monkeypatch.setattr(experiments, "MC_MAX_SHARD_FLOATS", 512 * 16 * 2 - 1)
+        for r, h, trials in [(4, 2, 1000), (4, 2, 5000), (3, 4, 1000), (10**400, 0, 1000)]:
+            with pytest.raises(ConfigError, match=f"coordinates exceed the cap of 16383 at "
+                                                  f"trials={trials}, r={r}, h={h}$"):
+                mc_confidence(r, h, 0.1, trials, seed=0)
+
 
 
 class TestFoldWorkDoneOnce:
     def test_three_equal_folds_draw_one_permutation(self):
-        aggregation._permutation.cache_clear()
+        aggregation._blocks.cache_clear()
         report = run_benchmark(ExperimentConfig(**SMALL_BENCH))
         assert all(h > 0 for h in report["heights_per_fold"])
-        assert aggregation._permutation.cache_info().misses == 1
+        assert aggregation._blocks.cache_info().misses == 1
 
     @pytest.mark.parametrize("n, parts", [(1003, 40), (1000, 40), (45, 1), (7, 7)])
     def test_checksum_equals_the_per_block_digest(self, n, parts):

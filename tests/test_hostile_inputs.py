@@ -179,7 +179,22 @@ def _file_argv(command, tmp_path, path, fmt):
     return ["predict", "--model", str(model), "--data", str(path), "--format", fmt]
 
 
-@pytest.mark.parametrize("argv, field", [*_config_cases(), *_file_cases()])
+# Bound tables at the small end of float range: a speed-up whose two terms
+# both pass it, and a base sample size that underflows to 0, in the bounds
+# subcommand and in a benchmark config's bounds section.
+TINY_ALPHA = ["--alpha-eps", "1e-200", "--beta-eps", "0"]
+FLOAT_EDGE_CASES = [
+    pytest.param(lambda t: ["bounds", *TINY_ALPHA, "--kappa", "2", "--h-min", "600", "--h-max",
+                            "600"], "alpha_eps", id="bounds speedup of two infinite terms"),
+    pytest.param(lambda t: ["bounds", *TINY_ALPHA, "--k", "2"], "alpha_eps",
+                 id="bounds base sample size underflow"),
+    pytest.param(lambda t: ["benchmark", "--config", _write_json(t, {
+        **BENCHMARK, "bounds": {"alpha_eps": 1e-200, "beta_eps": 0, "k": 2}})], "alpha_eps",
+                 id="benchmark bounds base sample size underflow"),
+]
+
+
+@pytest.mark.parametrize("argv, field", [*_config_cases(), *_file_cases(), *FLOAT_EDGE_CASES])
 def test_hostile_input_ends_with_a_documented_exit_code(tmp_path, monkeypatch, capsys, argv, field):
     monkeypatch.chdir(tmp_path)  # outputs named by a hostile value land here
     args = argv(tmp_path)

@@ -20,8 +20,8 @@ def test_prints_one_digest_per_output_and_a_digest_of_them(monkeypatch, capsys):
     digests = dict(line.rsplit(" ", 1) for line in lines)
     # four learners (squared loss at its default reg_lambda and at 0) in the
     # benchmark and train digests; two SGD learners in the radon_machine ones;
-    # one bounds table per (k, kappa)
-    assert len(digests) == len(lines) == 4 * 2 * 3 * 2 + 2 * 2 * 2 + 3 * 4 * 2 + 3 + 3 * 3 + 1
+    # two mc_confidence runs; one bounds table per (k, kappa)
+    assert len(digests) == len(lines) == 4 * 2 * 3 * 2 + 2 * 2 * 2 + 3 * 4 * 2 + 2 * 3 + 3 * 3 + 1
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
     assert digests.pop("all") == hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()
     for name, digest in digests.items():

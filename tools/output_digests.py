@@ -24,7 +24,10 @@ output, then an ``all`` line digesting the lines above it:
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
   each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
   on and off;
-- ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3;
+- ``mc``: the rows of ``mc_confidence(4, 2, 0.125, 1000)`` at seeds 1-3, where
+  r * delta_base = 0.5 makes every bound an exact power of two, and of
+  ``mc_confidence(5, 2, 0.07, 1000)``, where it is 0.35, so that the bits of
+  how the bound is computed count too;
 - ``bounds``: the rows of ``bounds_table`` for each ``k`` and ``kappa`` in
   1-3, over ``r`` from 3 to 12 at ``delta_base`` 1/(2r), heights 0-40,
   ``c_workers`` 1, 4 and 1000, and ``(alpha_eps, beta_eps)`` (0, 1) and
@@ -138,11 +141,13 @@ def train_digests(cli, losses=LOSSES, algorithms=ALGORITHMS) -> dict[str, str]:
 
 
 def mc_digests(rm, seeds=SEEDS) -> dict[str, str]:
-    """Digest of the rows of mc_confidence(4, 2, 0.125, 1000) at each seed."""
+    """Digest of the rows of each mc_confidence(r, h, delta_base, 1000) run at each seed."""
+    runs = {"mc": (4, 2, 0.125), "mc r=5 delta_base=0.07": (5, 2, 0.07)}
     return {
-        f"mc seed={seed}": _sha256(
-            json.dumps(rm.mc_confidence(4, 2, 0.125, 1000, seed)["rows"], sort_keys=True).encode()
+        f"{name} seed={seed}": _sha256(
+            json.dumps(rm.mc_confidence(*run, 1000, seed)["rows"], sort_keys=True).encode()
         )
+        for name, run in runs.items()
         for seed in seeds
     }
 
