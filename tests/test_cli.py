@@ -589,9 +589,9 @@ class TestBenchmarkFlagsOverFileFields:
                  "--algorithms", "base,radon", "--h", "1"]
         assert main([*_config(tmp_path, self.CONFIG), *flags]) == 0
         echo = json.loads(out.read_text())["config"]
-        assert {key: echo[key] for key in ("seed", "workers", "out", "cv_folds", "algorithms", "h")} \
-            == {"seed": 5, "workers": 2, "out": str(out), "cv_folds": 3,
-                "algorithms": ["base", "radon"], "h": 1}
+        expected = {"seed": 5, "workers": 2, "out": str(out), "cv_folds": 3,
+                    "algorithms": ["base", "radon"], "h": 1}
+        assert {key: echo[key] for key in expected} == expected
 
     @pytest.mark.parametrize(
         "flags, fields",
