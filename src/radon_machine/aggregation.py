@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigError, DataError, require_seed
+from .errors import ConfigError, DataError, require, require_seed
 from .learners import Hypothesis, LearnerSpec, _check_sgd, _train_block, train
 from .radon_points import _radon_stack, _violations, radon_number, radon_point
 
@@ -56,14 +56,10 @@ class RadonConfig:
 
     def __post_init__(self):
         require_seed(self.seed)
-        if self.r < 3:
-            raise ConfigError(f"r must be >= 3 (a Radon number), got {self.r}")
-        if self.h < 0:
-            raise ConfigError(f"h must be >= 0 (a tree height), got {self.h}")
-        if self.n_min < 1:
-            raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        require(self.r >= 3, "r", "be >= 3 (a Radon number)", self.r)
+        require(self.h >= 0, "h", "be >= 0 (a tree height)", self.h)
+        require(self.n_min >= 1, "n_min", "be >= 1", self.n_min)
+        require(self.workers >= 1, "workers", "be >= 1", self.workers)
 
 
 @dataclass
@@ -89,10 +85,8 @@ class AggregationTrace:
 
 def max_height(n_rows: int, r: int, n_min: int) -> int:
     """Largest h with r^h * n_min <= n_rows, by exact integer arithmetic."""
-    if r < 3:
-        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
-    if n_min < 1:
-        raise ConfigError(f"n_min must be >= 1, got {n_min}")
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(n_min >= 1, "n_min", "be >= 1", n_min)
     if n_rows < n_min:
         return 0
     h = 0
@@ -111,8 +105,7 @@ def partition_indices(n_rows: int, parts: int, seed: int) -> list[np.ndarray]:
     blocks are read-only views of the permutation, cached per (n_rows,
     parts, seed); each call returns a fresh list of them.
     """
-    if parts < 1:
-        raise ConfigError(f"parts must be >= 1, got {parts}")
+    require(parts >= 1, "parts", "be >= 1", parts)
     if parts > n_rows:
         raise DataError(f"cannot split {n_rows} rows into {parts} non-empty parts")
     return list(_blocks(n_rows, parts, require_seed(seed)))
@@ -148,8 +141,7 @@ def train_on_partitions(
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require(workers >= 1, "workers", "be >= 1", workers)
     return _timed_training(_train_block, spec, data, parts, seed)
 
 

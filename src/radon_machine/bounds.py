@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 # log2 of a bound above every finite float (the largest is just below 2^1024).
 _FLOAT_LOG2_BOUND = 1025
@@ -72,20 +72,16 @@ class ComplexityParams:
     kappa: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_eps) and self.alpha_eps >= 0):
-            raise ConfigError(f"alpha_eps must be finite and >= 0, got {self.alpha_eps}")
-        if not (math.isfinite(self.beta_eps) and self.beta_eps >= 0):
-            raise ConfigError(f"beta_eps must be finite and >= 0, got {self.beta_eps}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.kappa < 1:
-            raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
+        for name in ("alpha_eps", "beta_eps"):
+            value = getattr(self, name)
+            require(math.isfinite(value) and value >= 0, name, "be finite and >= 0", value)
+        require(self.k >= 1, "k", "be >= 1", self.k)
+        require(self.kappa >= 1, "kappa", "be >= 1", self.kappa)
         if self.alpha_eps == 0 and self.beta_eps == 0:
             raise ConfigError("beta_eps and alpha_eps are both 0, so no sample size is positive")
 
     def base_sample_size(self, delta: float) -> float:
-        if not 0.0 < delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+        require(0.0 < delta < 1.0, "delta", "lie in (0, 1)", delta)
         return _pow(self.alpha_eps + self.beta_eps * math.log2(1.0 / delta), self.k)
 
 
@@ -129,12 +125,9 @@ def boosted_confidence(r: int, delta_base: float, h: int) -> BoostedConfidence:
     The ``vacuous`` flag is set when r * delta_base >= 1, in which case the
     bound is still computed but guarantees nothing.
     """
-    if r < 3:
-        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
-    if not 0.0 < delta_base < 1.0:
-        raise ConfigError(f"delta_base must lie in (0, 1), got {delta_base}")
-    if h < 0:
-        raise ConfigError(f"h must be >= 0 (a tree height), got {h}")
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(0.0 < delta_base < 1.0, "delta_base", "lie in (0, 1)", delta_base)
+    require(h >= 0, "h", "be >= 0 (a tree height)", h)
     vacuous = r * delta_base >= 1.0
     log_term = math.log2(r * delta_base)
     log2_delta = _as_float(_exact_pow(2, h)) * log_term if log_term else 0.0
@@ -155,10 +148,8 @@ def sample_complexity_vc(eps: float, delta: float, proof_form: bool = False) -> 
     (ln 2 + 4 log2(1/delta) / log2 e) / eps^2 derived from the same
     concentration step.
     """
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
+    require(0.0 < eps < 1.0, "eps", "lie in (0, 1)", eps)
+    require(0.0 < delta <= 1.0, "delta", "lie in (0, 1]", delta)
     inv_eps_sq = 1.0 / (eps * eps)
     log_term = math.log2(1.0 / delta)
     if proof_form:
@@ -171,10 +162,8 @@ def sample_complexity_vc(eps: float, delta: float, proof_form: bool = False) -> 
 def sample_complexity_rademacher(eps: float, delta: float, rho: float) -> float:
     """Sample size for classes of Rademacher complexity rho:
     log2(1/delta) / (2 (eps - 2 rho)^2); requires eps > 2 rho."""
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
-    if rho < 0.0:
-        raise ConfigError(f"rho must be >= 0, got {rho}")
+    require(0.0 < delta <= 1.0, "delta", "lie in (0, 1]", delta)
+    require(rho >= 0.0, "rho", "be >= 0", rho)
     if eps <= 2.0 * rho:
         raise ConfigError(f"infeasible eps: need eps > 2 * rho = {2.0 * rho}, got {eps}")
     return math.log2(1.0 / delta) / (2.0 * (eps - 2.0 * rho) ** 2)
@@ -195,8 +184,8 @@ def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, 
     (alpha + 2^h * beta * log2(1 / (r * delta_base))) ** k."""
     if r < 3 or h < 0:
         raise ConfigError("need r >= 3 and h >= 0")
-    if not 0.0 < delta_base < 1.0 / r:
-        raise ConfigError(f"delta_base must lie in (0, 1/r) = (0, {1.0 / r}), got {delta_base}")
+    rule = f"lie in (0, 1/r) = (0, {1.0 / r})"
+    require(0.0 < delta_base < 1.0 / r, "delta_base", rule, delta_base)
     log_term = math.log2(1.0 / (r * delta_base))
     growth = _as_float(_exact_pow(2, h)) * params.beta_eps * log_term if params.beta_eps else 0.0
     return _pow(params.alpha_eps + growth, params.k)
@@ -207,8 +196,7 @@ def choose_height(m_samples: float, k: int) -> int:
     aggregation runtime polylogarithmic in M."""
     if not m_samples > 2.0:
         raise ConfigError(f"need M > 2, got {m_samples}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    require(k >= 1, "k", "be >= 1", k)
     ld_m = math.log2(m_samples)
     value = (ld_m - math.log2(ld_m)) / k
     # Snap values within a few ulps of an integer before taking the ceiling.

@@ -20,7 +20,7 @@ import numpy as np
 from .aggregation import RadonConfig
 from .bounds import _as_float
 from .datasets import FORMATS, TASKS
-from .errors import ConfigError, DataError, require_number
+from .errors import ConfigError, DataError, require, require_number
 from .experiments import (
     BOUNDS_CSV_COLUMNS,
     BOUNDS_KEYS,
@@ -261,18 +261,16 @@ def _cmd_bounds(args) -> int:
         }
     )
     r = pick(args.r, "r", 4, int)
-    if not 3 <= r < 2**64:  # a dimension + 2; keeps the floats of r and r^3 finite
-        raise ConfigError(f"r must be >= 3 and below 2**64 (a Radon number), got {r}")
+    # A dimension + 2; the cap keeps the floats of r and r^3 finite.
+    require(3 <= r < 2**64, "r", "be >= 3 and below 2**64 (a Radon number)", r)
     delta_base = pick(args.delta_base, "delta_base", 1.0 / (2 * r), float)
     h_min = pick(args.h_min, "h_min", 0, int)
     h_max = pick(args.h_max, "h_max", 4, int)
     workers = pick(args.workers, "c_workers", 1, int)
-    if h_min < 0:
-        raise ConfigError(f"h_min must be >= 0, got {h_min}")
+    require(h_min >= 0, "h_min", "be >= 0", h_min)
     if h_min > h_max:
         raise ConfigError(f"h_min {h_min} exceeds h_max {h_max}")
-    if h_max > BOUNDS_MAX_HEIGHT:
-        raise ConfigError(f"h_max must be <= {BOUNDS_MAX_HEIGHT}, got {h_max}")
+    require(h_max <= BOUNDS_MAX_HEIGHT, "h_max", f"be <= {BOUNDS_MAX_HEIGHT}", h_max)
 
     rows = bounds_table(params, r, delta_base, range(h_min, h_max + 1), workers)
     header = "h      delta         n_base        n_radon       m_sequential  speedup_est"

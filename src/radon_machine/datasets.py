@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, ShapeError
+from .errors import ConfigError, DataError, ParseError, ShapeError, require
 
 TASKS = ("binary", "regression")
 FORMATS = ("csv", "svmlight")
@@ -242,8 +242,7 @@ def _check_synth_shape(n: int, d: int) -> None:
     MAX_DENSE_CELLS; checked before anything is allocated.  Its messages,
     and the generators' own, start with the dataset field at fault."""
     for name, value in (("n", n), ("d", d)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        require(value >= 1, name, "be >= 1", value)
     if n * d > MAX_DENSE_CELLS:
         raise ConfigError(
             f"n * d is too large: {n} rows x {d} columns exceed the cap of "
@@ -261,8 +260,7 @@ def synth_classification(
     Returns the dataset and the true weight vector for oracle checks.
     """
     _check_synth_shape(n, d)
-    if not 0.0 <= margin_noise <= 0.5:
-        raise ConfigError(f"noise must lie in [0, 0.5], got {margin_noise}")
+    require(0.0 <= margin_noise <= 0.5, "noise", "lie in [0, 0.5]", margin_noise)
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(d)
     w_true /= np.linalg.norm(w_true)
@@ -276,8 +274,7 @@ def synth_classification(
 def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> tuple[Dataset, np.ndarray]:
     """Linear responses with Gaussian noise of standard deviation noise_sd."""
     _check_synth_shape(n, d)
-    if not 0.0 <= noise_sd < math.inf:
-        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    require(0.0 <= noise_sd < math.inf, "noise_sd", "be finite and >= 0", noise_sd)
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(d)
     w_true /= np.linalg.norm(w_true)

@@ -37,10 +37,16 @@ def require_number(value, field: str, integer: bool = False):
     return value
 
 
+def require(ok, field: str, rule: str, value) -> None:
+    """A ConfigError reading ``<field> must <rule>, got <value>`` unless
+    ``ok``: the one wording of every range error."""
+    if not ok:
+        raise ConfigError(f"{field} must {rule}, got {value}")
+
+
 def require_seed(value, field: str = "seed") -> int:
     """``value`` if it is a non-negative integer, as NumPy's seeding takes,
     else a ConfigError naming ``field``."""
     require_number(value, field, integer=True)
-    if value < 0:
-        raise ConfigError(f"{field} must be >= 0, got {value}")
+    require(value >= 0, field, "be >= 0", value)
     return value

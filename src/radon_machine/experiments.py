@@ -38,7 +38,7 @@ from .bounds import BoundReport, ComplexityParams, _as_float, _pow, efficiency_r
 from .datasets import (
     FORMATS, Dataset, kfold, load_dataset, synth_classification, synth_regression
 )
-from .errors import ConfigError, require_number, require_seed
+from .errors import ConfigError, require, require_number, require_seed
 from .learners import (
     Hypothesis, LearnerSpec, predict_score, train, with_bias_column, without_bias_column
 )
@@ -111,16 +111,12 @@ class ExperimentConfig:
         for name in ("cv_folds", "n_min", "workers"):
             require_number(getattr(self, name), name, integer=True)
         require_seed(self.seed)
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        require(self.cv_folds >= 2, "cv_folds", "be >= 2", self.cv_folds)
         if self.h != "max":
             require_number(self.h, "h, unless 'max',", integer=True)
-            if self.h < 0:
-                raise ConfigError(f"h must be >= 0, got {self.h}")
-        if self.n_min < 1:
-            raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            require(self.h >= 0, "h", "be >= 0", self.h)
+        require(self.n_min >= 1, "n_min", "be >= 1", self.n_min)
+        require(self.workers >= 1, "workers", "be >= 1", self.workers)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string or null, got {self.out!r}")
         dataset_source(self.dataset)
@@ -129,8 +125,7 @@ class ExperimentConfig:
             _complexity_params(self.bounds)
             if "delta_base" in self.bounds:
                 delta_base = require_number(self.bounds["delta_base"], "bounds.delta_base")
-                if not 0 < delta_base < 1:
-                    raise ConfigError(f"bounds.delta_base must lie in (0, 1), got {delta_base}")
+                require(0 < delta_base < 1, "bounds.delta_base", "lie in (0, 1)", delta_base)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -466,16 +461,12 @@ def mc_confidence(
     in fixed-size shards, each from its own seed, and merged by summation;
     ``workers`` must be >= 1 but changes neither the path nor the result.
     """
-    if r < 3:
-        raise ConfigError(f"r must be >= 3 (a Radon number), got {r}")
-    if h < 0:
-        raise ConfigError(f"h must be >= 0 (a tree height), got {h}")
-    if not 0.0 <= delta_base < 1.0:
-        raise ConfigError(f"delta_base must lie in [0, 1), got {delta_base}")
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(h >= 0, "h", "be >= 0 (a tree height)", h)
+    require(0.0 <= delta_base < 1.0, "delta_base", "lie in [0, 1)", delta_base)
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials, got {trials}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require(workers >= 1, "workers", "be >= 1", workers)
     require_seed(seed)
     if trials > MC_MAX_LEAF_DRAWS or h > max_height(MC_MAX_LEAF_DRAWS, r, trials):
         raise ConfigError(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bounds import _as_float
 from .datasets import Dataset
-from .errors import ConfigError, DataError, ShapeError, require_number
+from .errors import ConfigError, DataError, ShapeError, require, require_number
 
 # Dimension limit for the exact normal-equations path of the squared loss.
 EXACT_SOLVE_MAX_DIM = 512
@@ -70,14 +70,11 @@ class LearnerSpec:
         require_number(self.learning_rate0, "learner.learning_rate0")
         if not isinstance(self.fit_bias, bool):
             raise ConfigError(f"learner.fit_bias must be true or false, got {self.fit_bias!r}")
-        if not (math.isfinite(_as_float(self.reg_lambda)) and self.reg_lambda >= 0):
-            raise ConfigError(f"learner.reg_lambda must be finite and >= 0, got {self.reg_lambda}")
-        if self.epochs < 1:
-            raise ConfigError(f"learner.epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(_as_float(self.learning_rate0)) and self.learning_rate0 > 0):
-            raise ConfigError(
-                f"learner.learning_rate0 must be finite and > 0, got {self.learning_rate0}"
-            )
+        require(math.isfinite(_as_float(self.reg_lambda)) and self.reg_lambda >= 0,
+                "learner.reg_lambda", "be finite and >= 0", self.reg_lambda)
+        require(self.epochs >= 1, "learner.epochs", "be >= 1", self.epochs)
+        require(math.isfinite(_as_float(self.learning_rate0)) and self.learning_rate0 > 0,
+                "learner.learning_rate0", "be finite and > 0", self.learning_rate0)
 
     def hypothesis_dim(self, data_dim: int) -> int:
         return data_dim + 1 if self.fit_bias else data_dim

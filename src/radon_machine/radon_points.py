@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSetError, ShapeError
+from .errors import DataError, DegenerateSetError, ShapeError, require
 
 # Residual tolerance for accepting a candidate coefficient vector, scaled by
 # input magnitude; pivots below PIVOT_RTOL times the row scale count as zero.
@@ -61,8 +61,7 @@ class RadonCertificate:
 
 def radon_number(dim: int) -> int:
     """Radon number of d-dimensional Euclidean space: d + 2."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    require(dim >= 1, "dimension", "be >= 1", dim)
     return dim + 2
 
 

@@ -1,10 +1,13 @@
 """Range errors: every one reads ``<field> must <rule>, got <value>``.
 
 The table pins each range check's message byte for byte, one case per check,
-through the public entry that runs it.
+through the public entry that runs it; a lint over the package's source
+keeps every range check a call of ``errors.require``, which owns the wording.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,9 @@ from radon_machine import (
 from radon_machine.cli import main
 from radon_machine.errors import require_seed
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "radon_machine"
+# The rules a range error states; only errors.require may write them out.
+RANGE_RULES = (" must be >=", " must be <=", " must lie in", " must be finite")
 PARAMS = ComplexityParams(alpha_eps=1.0, beta_eps=1.0, k=1, kappa=1)
 
 
@@ -134,3 +140,26 @@ def test_range_error_message(call, expected):
 def test_bounds_command_range_error_message(capsys, args, expected):
     assert main(["bounds", *args]) == 2
     assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+def _hand_written_range_errors(path: Path) -> list[str]:
+    """``file:line`` of each ConfigError call in ``path`` whose string
+    literals, f-string parts included, state a range rule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) != "ConfigError":
+            continue
+        text = "".join(
+            part.value for part in ast.walk(node)
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        if any(rule in text for rule in RANGE_RULES):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_range_errors_go_through_require():
+    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"]
+    assert sources
+    assert [site for path in sources for site in _hand_written_range_errors(path)] == []
