@@ -176,6 +176,9 @@ def radon_sample_size(r: int, h: int, n_base: float) -> float:
     replicas = _exact_pow(r, h)
     if float(n_base).is_integer():
         return _as_float(replicas * int(n_base))
+    if _as_float(replicas) == math.inf and n_base < 1:  # the product may still be finite
+        log2_total = h * math.log2(r) + math.log2(n_base)
+        return 2.0**log2_total if log2_total < 1024 else math.inf
     return _as_float(replicas) * float(n_base)
 
 

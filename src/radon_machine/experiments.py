@@ -290,7 +290,9 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     Every fold trains on the rows and spec of ``with_bias_column``, which
     replace ``x`` once per run (so the run holds one matrix, not two): with
     ``fit_bias`` a fold's split is one take of rows that already carry the
-    bias column, and no fit appends it again.
+    bias column, and no fit appends it again.  A ``bounds`` section's report
+    is computed at fold 0's height before any fold trains, so its errors,
+    named ``bounds.<field>``, come first.
     """
     data = resolve_dataset(config.dataset, config.seed)
     spec = config.learner
@@ -303,12 +305,20 @@ def run_benchmark(config: ExperimentConfig) -> dict:
 
     per_alg: dict[str, list[dict]] = {name: [] for name in config.algorithms}
     heights: list[int] = []
+    bounds = None
     for fold in range(config.cv_folds):
         train_idx = plan.train_indices(fold)
         train_split = data.subset(train_idx)
         test_idx = plan.test_indices(fold)
         h = resolve_height(config.h, train_split.n_rows, r, config.n_min, tree=tree)
         heights.append(h)
+        if config.bounds and fold == 0:  # at fold 0's height, before any fold trains
+            delta_base = float(config.bounds.get("delta_base", 1.0 / (2 * r)))
+            params = _complexity_params(config.bounds)
+            try:
+                bounds = efficiency_report(params, r, delta_base, h, config.workers).to_dict()
+            except ConfigError as exc:  # the message starts with the field's name
+                raise ConfigError(f"bounds.{exc}") from None
         cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min, workers=config.workers)
         fits = _fit_all(config.algorithms, fold_spec, train_split, cfg)
         checksum = None
@@ -341,18 +351,12 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         "heights_per_fold": heights,
         "algorithms": algorithms,
         "speedup_base_over_radon": None,
-        "bounds": None,
+        "bounds": bounds,
     }
     if "base" in algorithms and "radon" in algorithms:
         radon_total = algorithms["radon"]["total_s_mean"]
         if radon_total > 0:
             report["speedup_base_over_radon"] = algorithms["base"]["total_s_mean"] / radon_total
-    if config.bounds:
-        delta_base = float(config.bounds.get("delta_base", 1.0 / (2 * r)))
-        report["bounds"] = efficiency_report(
-            _complexity_params(config.bounds), r, delta_base, heights[0], config.workers
-        ).to_dict()
-
     if config.out:
         write_json(report, config.out)
         csv_rows = [
@@ -520,8 +524,23 @@ def bounds_table(
     return rows
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float replaced by None, as strict JSON
+    has no token for inf or NaN."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """``payload`` as pretty, strict JSON with sorted keys; inf and NaN are
+    written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _csv_cell(value) -> str:

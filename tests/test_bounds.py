@@ -1,6 +1,7 @@
 """Closed-form calculators: worked values, identities, and monotonicity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +224,17 @@ class TestPastFloatRange:
         assert _pow(1.0, 10**400) == 1.0
         assert _pow(0.5, 10**400) == 0.0
         assert _pow(2.0, 10) == 1024.0
+
+    @pytest.mark.parametrize(
+        "r, h, n_base", [(4, 600, 1e-200), (3, 700, 1e-300), (11, 300, 2.5e-310)]
+    )
+    def test_sample_size_is_finite_where_only_r_to_the_h_passes_float_range(self, r, h, n_base):
+        expected = float(Fraction(r**h) * Fraction(n_base))
+        assert math.isclose(radon_sample_size(r, h, n_base), expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("h", [1000, 10**12])
+    def test_sample_size_past_float_range_is_inf(self, h):
+        assert radon_sample_size(4, h, 1e-200) == math.inf
 
     def test_tall_tree_runtime_is_inf(self):
         assert runtime_model(10, 4, 600, 1, 1) == math.inf

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -452,6 +454,26 @@ class TestBoundsRangeCheckedBeforeTraining:
         assert _run_benchmark_config(tmp_path, monkeypatch, {"bounds": bounds}) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"dataset": {"n": 2000, "d": 8}, "cv_folds": 2, "n_min": 10,
+              "bounds": {"alpha_eps": 1, "beta_eps": 1, "delta_base": 0.5}},
+             "bounds.delta_base must lie in (0, 1/r) = (0, 0.09090909090909091), got 0.5"),
+            ({"dataset": {"n": 600, "d": 2}, "learner": {"loss": "squared"}, "cv_folds": 2,
+              "n_min": 20, "bounds": {"alpha_eps": 1e-200, "beta_eps": 0, "k": 2}},
+             "bounds.alpha_eps, beta_eps and k give a base sample size of 0 at delta_base=0.1"),
+        ],
+        ids=["delta-base-above-1-over-r", "sample-size-underflow"],
+    )
+    def test_report_error_comes_before_any_fold_trains(
+        self, tmp_path, monkeypatch, capsys, payload, message
+    ):
+        monkeypatch.setattr(experiments, "_fit_all", lambda *args: pytest.fail("a fold trained"))
+        assert main(_config(tmp_path, payload)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+
 
 class TestNegativeSeed:
     def test_train_seed_is_config_error(self, tmp_path, capsys):
@@ -536,16 +558,16 @@ class TestBoundsPastFloatRange:
 
     def test_tall_tree(self, tmp_path, capsys):
         rows = self._table(tmp_path, capsys, "--h-min", "590", "--h-max", "600")
-        assert rows[-1]["runtime_radon_model"] == rows[-1]["n_radon"] == float("inf")
+        assert rows[-1]["runtime_radon_model"] is rows[-1]["n_radon"] is None  # inf, as null
         assert rows[0]["m_sequential"] < float("inf")
 
     def test_table_at_the_height_cap(self, tmp_path, capsys):
         (row,) = self._table(tmp_path, capsys, "--h-min", "1024", "--h-max", "1024")
-        assert row["h_star"] is None and row["m_sequential"] == float("inf")
+        assert row["h_star"] is None and row["m_sequential"] is None  # inf, as null
 
     def test_huge_exponents(self, tmp_path, capsys):
         rows = self._table(tmp_path, capsys, "--k", "100000", "--kappa", "100000")
-        assert all(row["speedup_estimate"] == float("inf") for row in rows[1:])
+        assert all(row["speedup_estimate"] is None for row in rows[1:])  # inf, as null
 
     def test_huge_worker_count(self, tmp_path, capsys):
         rows = self._table(tmp_path, capsys, "--workers", str(10**400))
@@ -558,7 +580,7 @@ class TestBoundsPastFloatRange:
                   "out": str(tmp_path / "b.json")}
         assert main(_config(tmp_path, config)) == 0
         report = json.loads((tmp_path / "b.json").read_text())
-        assert report["bounds"]["speedup_estimate"] == float("inf")
+        assert report["bounds"]["speedup_estimate"] is None  # inf, as null
 
 
     def test_speedup_of_two_infinite_terms_prints_no_nan(self, tmp_path, capsys):
@@ -569,6 +591,38 @@ class TestBoundsPastFloatRange:
         assert "nan" not in capsys.readouterr().out
         (row,) = json.loads(out.read_text())["rows"]
         assert 0.0 < row["speedup_estimate"] < 2.0**-143
+
+
+class TestStrictJsonReports:
+    """--out JSON is strict: a non-finite value is written as null, and its
+    CSV twin keeps Python's inf or nan; finite payloads keep their bytes."""
+
+    @staticmethod
+    def _reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    def test_bounds_table_past_float_range(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        flags = ["--alpha-eps", "1e-200", "--beta-eps", "0", "--kappa", "2", "--h-min", "600",
+                 "--h-max", "600", "--out", str(out)]
+        assert main(["bounds", *flags]) == 0
+        (row,) = json.loads(out.read_text(), parse_constant=self._reject)["rows"]
+        header, line = out.with_suffix(".csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert {key for key, value in row.items() if value is None} == {
+            key for key, cell in cells.items() if cell in ("", "inf", "nan")
+        }
+        assert cells["runtime_radon_model"] == "inf" and cells["data_inefficiency"] == "nan"
+        # r^h = 4^600 alone passes float range, the product with n_base does not
+        expected = float(Fraction(4**600) * Fraction(1e-200))
+        assert math.isclose(row["n_radon"], expected, rel_tol=1e-12)
+        assert f"{expected:<13.6g}" in capsys.readouterr().out
+
+    def test_finite_payload_keeps_its_bytes(self, tmp_path):
+        payload = {"b": [1.5, 2, None, True, "x"], "a": {"y": (0.1, -0.0), "x": 5e-324}}
+        experiments.write_json(payload, tmp_path / "p.json")
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "p.json").read_text() == expected
 
 
 class TestBenchmarkFlagsOverFileFields:
