@@ -170,16 +170,18 @@ def sample_complexity_rademacher(eps: float, delta: float, rho: float) -> float:
 
 
 def radon_sample_size(r: int, h: int, n_base: float) -> float:
-    """Total sample size r^h * n_base of the aggregation scheme."""
+    """Total sample size r^h * n_base of the aggregation scheme; where r^h
+    alone passes float range, the product is taken in log2 space."""
     if r < 3 or h < 0 or not n_base > 0:
         raise ConfigError("need r >= 3, h >= 0, n_base > 0")
     replicas = _exact_pow(r, h)
     if float(n_base).is_integer():
         return _as_float(replicas * int(n_base))
-    if _as_float(replicas) == math.inf and n_base < 1:  # the product may still be finite
+    scale = _as_float(replicas)
+    if scale == math.inf and n_base < 1:  # the product may still be finite
         log2_total = h * math.log2(r) + math.log2(n_base)
         return 2.0**log2_total if log2_total < 1024 else math.inf
-    return _as_float(replicas) * float(n_base)
+    return scale * float(n_base)
 
 
 def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, h: int) -> float:
