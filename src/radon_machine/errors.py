@@ -37,7 +37,7 @@ def require_number(value, field: str, integer: bool = False):
     return value
 
 
-def require(ok, field: str, rule: str, value) -> None:
+def require(ok: bool, field: str, rule: str, value) -> None:
     """A ConfigError reading ``<field> must <rule>, got <value>`` unless
     ``ok``: the one wording of every range error."""
     if not ok:
