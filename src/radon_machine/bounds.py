@@ -179,7 +179,7 @@ def radon_sample_size(r: int, h: int, n_base: float) -> float:
         return _as_float(replicas * int(n_base))
     scale = _as_float(replicas)
     if scale == math.inf and n_base < 1:  # the product may still be finite
-        log2_total = h * math.log2(r) + math.log2(n_base)
+        log2_total = _as_float(h) * math.log2(r) + math.log2(n_base)
         return 2.0**log2_total if log2_total < 1024 else math.inf
     return scale * float(n_base)
 

@@ -153,24 +153,26 @@ class ExperimentConfig:
         return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
+def _in_bounds_section(build, *args):
+    """build(*args), where a ConfigError, whose message starts with the
+    field's name, gains the ``bounds`` section's."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"bounds.{exc}") from None
+
+
 def _complexity_params(bounds: dict) -> ComplexityParams:
     """The base-learner model of a ``bounds`` section (a benchmark config's,
     or the values the bounds subcommand picked), which requires alpha_eps
-    and beta_eps; ComplexityParams checks their ranges, and its errors,
-    which start with the field's name, gain the section's."""
+    and beta_eps; ComplexityParams checks their ranges."""
     for key in ("alpha_eps", "beta_eps"):
         require_number(bounds.get(key), f"bounds.{key}")
     for key in ("k", "kappa"):
         require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
-    try:
-        return ComplexityParams(
-            alpha_eps=_as_float(bounds["alpha_eps"]),
-            beta_eps=_as_float(bounds["beta_eps"]),
-            k=int(bounds.get("k", 1)),
-            kappa=int(bounds.get("kappa", 1)),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"bounds.{exc}") from None
+    alpha_eps, beta_eps = _as_float(bounds["alpha_eps"]), _as_float(bounds["beta_eps"])
+    k, kappa = int(bounds.get("k", 1)), int(bounds.get("kappa", 1))
+    return _in_bounds_section(ComplexityParams, alpha_eps, beta_eps, k, kappa)
 
 
 def config_section(raw: dict, name: str, keys=None) -> dict:
@@ -315,10 +317,9 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         if config.bounds and fold == 0:  # at fold 0's height, before any fold trains
             delta_base = float(config.bounds.get("delta_base", 1.0 / (2 * r)))
             params = _complexity_params(config.bounds)
-            try:
-                bounds = efficiency_report(params, r, delta_base, h, config.workers).to_dict()
-            except ConfigError as exc:  # the message starts with the field's name
-                raise ConfigError(f"bounds.{exc}") from None
+            bounds = _in_bounds_section(
+                efficiency_report, params, r, delta_base, h, config.workers
+            ).to_dict()
         cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min, workers=config.workers)
         fits = _fit_all(config.algorithms, fold_spec, train_split, cfg)
         checksum = None

@@ -232,9 +232,11 @@ class TestPastFloatRange:
         expected = float(Fraction(r**h) * Fraction(n_base))
         assert math.isclose(radon_sample_size(r, h, n_base), expected, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("h", [1000, 10**12])
+    @pytest.mark.parametrize("h", [1000, 10**12, 10**400])
     def test_sample_size_past_float_range_is_inf(self, h):
         assert radon_sample_size(4, h, 1e-200) == math.inf
+        params = ComplexityParams(alpha_eps=1e-200, beta_eps=0.0, k=1, kappa=2)
+        assert efficiency_report(params, 4, 0.125, h, 1).n_radon == math.inf
 
     def test_tall_tree_runtime_is_inf(self):
         assert runtime_model(10, 4, 600, 1, 1) == math.inf

@@ -551,33 +551,42 @@ class TestBoundsPastFloatRange:
     """Tall trees, huge exponents and huge worker counts print inf, not a traceback."""
 
     def _table(self, tmp_path, capsys, *flags):
+        """The JSON rows, where a non-finite value is null, and the CSV
+        twin's rows as cells, where it reads inf or nan."""
         out = tmp_path / "t.json"
         assert main(["bounds", *flags, "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
-        return json.loads(out.read_text())["rows"]
+        header, *lines = out.with_suffix(".csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        return json.loads(out.read_text())["rows"], cells
 
     def test_tall_tree(self, tmp_path, capsys):
-        rows = self._table(tmp_path, capsys, "--h-min", "590", "--h-max", "600")
-        assert rows[-1]["runtime_radon_model"] is rows[-1]["n_radon"] is None  # inf, as null
+        rows, cells = self._table(tmp_path, capsys, "--h-min", "590", "--h-max", "600")
+        assert rows[-1]["runtime_radon_model"] is rows[-1]["n_radon"] is None
+        assert cells[-1]["runtime_radon_model"] == cells[-1]["n_radon"] == "inf"
         assert rows[0]["m_sequential"] < float("inf")
 
     def test_table_at_the_height_cap(self, tmp_path, capsys):
-        (row,) = self._table(tmp_path, capsys, "--h-min", "1024", "--h-max", "1024")
-        assert row["h_star"] is None and row["m_sequential"] is None  # inf, as null
+        (row,), (cell,) = self._table(tmp_path, capsys, "--h-min", "1024", "--h-max", "1024")
+        assert row["h_star"] is None and row["m_sequential"] is None
+        assert cell["h_star"] == "" and cell["m_sequential"] == "inf"
 
     def test_huge_exponents(self, tmp_path, capsys):
-        rows = self._table(tmp_path, capsys, "--k", "100000", "--kappa", "100000")
-        assert all(row["speedup_estimate"] is None for row in rows[1:])  # inf, as null
+        rows, cells = self._table(tmp_path, capsys, "--k", "100000", "--kappa", "100000")
+        assert all(row["speedup_estimate"] is None for row in rows[1:])
+        assert all(cell["speedup_estimate"] == "inf" for cell in cells[1:])
 
     def test_huge_worker_count(self, tmp_path, capsys):
-        rows = self._table(tmp_path, capsys, "--workers", str(10**400))
+        rows, _ = self._table(tmp_path, capsys, "--workers", str(10**400))
         assert [row["runtime_radon_model"] for row in rows] == [3.0 + 64 * h for h in range(5)]
 
     def test_benchmark_bounds_section_with_huge_exponents(self, tmp_path, capsys):
         config = {"dataset": {"n": 2000, "d": 2}, "learner": {"loss": "squared"},
                   "algorithms": ["radon"], "cv_folds": 2, "n_min": 50,
-                  "bounds": {"alpha_eps": 0, "beta_eps": 1, "k": 100000, "kappa": 100000},
-                  "out": str(tmp_path / "b.json")}
+                  "bounds": {"alpha_eps": 0, "beta_eps": 1, "k": 100000, "kappa": 100000}}
+        report = experiments.run_benchmark(experiments.ExperimentConfig.from_dict(config))
+        assert report["bounds"]["speedup_estimate"] == math.inf
+        config["out"] = str(tmp_path / "b.json")
         assert main(_config(tmp_path, config)) == 0
         report = json.loads((tmp_path / "b.json").read_text())
         assert report["bounds"]["speedup_estimate"] is None  # inf, as null
