@@ -24,18 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError, require
+from .errors import ConfigError, _as_float, require
 
 # log2 of a bound above every finite float (the largest is just below 2^1024).
 _FLOAT_LOG2_BOUND = 1025
-
-
-def _as_float(value) -> float:
-    """float() that saturates to +inf instead of raising on huge ints."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def _exact_pow(base: int, exponent: int):
@@ -48,8 +40,9 @@ def _exact_pow(base: int, exponent: int):
 
 
 def _pow(base: float, exponent) -> float:
-    """float(base) ** exponent for base >= 0 and exponent > 0, saturating to
-    +inf (base above 1) or 0 (base below 1) where the float power raises."""
+    """float(base) ** exponent for base >= 0 and exponent > 0 (any exponent
+    for base 2), saturating to +inf (base above 1) or 0 (base below 1) where
+    the float power raises."""
     try:
         return float(base) ** exponent
     except OverflowError:
@@ -130,14 +123,8 @@ def boosted_confidence(r: int, delta_base: float, h: int) -> BoostedConfidence:
     require(h >= 0, "h", "be >= 0 (a tree height)", h)
     vacuous = r * delta_base >= 1.0
     log_term = math.log2(r * delta_base)
-    log2_delta = _as_float(_exact_pow(2, h)) * log_term if log_term else 0.0
-    if log2_delta < -1080.0:
-        delta = 0.0
-    elif log2_delta > 1023.0:
-        delta = math.inf
-    else:
-        delta = 2.0**log2_delta
-    return BoostedConfidence(delta=delta, log2_delta=log2_delta, vacuous=vacuous)
+    log2_delta = _pow(2, h) * log_term if log_term else 0.0
+    return BoostedConfidence(delta=_pow(2, log2_delta), log2_delta=log2_delta, vacuous=vacuous)
 
 
 def sample_complexity_vc(eps: float, delta: float, proof_form: bool = False) -> float:
@@ -169,19 +156,23 @@ def sample_complexity_rademacher(eps: float, delta: float, rho: float) -> float:
     return math.log2(1.0 / delta) / (2.0 * (eps - 2.0 * rho) ** 2)
 
 
+def _scaled_pow(r: int, h: int, n: float) -> float:
+    """r^h * n (r >= 2, h >= 0, n > 0): exact for an integer n, and taken in
+    log2 space where r^h alone passes float range."""
+    replicas = _exact_pow(r, h)
+    if float(n).is_integer():
+        return _as_float(replicas * int(n))
+    scale = _as_float(replicas)
+    if scale == math.inf and n < 1:  # the product may still be finite
+        return _pow(2, _as_float(h) * math.log2(r) + math.log2(n))
+    return scale * float(n)
+
+
 def radon_sample_size(r: int, h: int, n_base: float) -> float:
-    """Total sample size r^h * n_base of the aggregation scheme; where r^h
-    alone passes float range, the product is taken in log2 space."""
+    """Total sample size r^h * n_base of the aggregation scheme."""
     if r < 3 or h < 0 or not n_base > 0:
         raise ConfigError("need r >= 3, h >= 0, n_base > 0")
-    replicas = _exact_pow(r, h)
-    if float(n_base).is_integer():
-        return _as_float(replicas * int(n_base))
-    scale = _as_float(replicas)
-    if scale == math.inf and n_base < 1:  # the product may still be finite
-        log2_total = _as_float(h) * math.log2(r) + math.log2(n_base)
-        return 2.0**log2_total if log2_total < 1024 else math.inf
-    return scale * float(n_base)
+    return _scaled_pow(r, h, n_base)
 
 
 def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, h: int) -> float:
@@ -192,7 +183,7 @@ def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, 
     rule = f"lie in (0, 1/r) = (0, {1.0 / r})"
     require(0.0 < delta_base < 1.0 / r, "delta_base", rule, delta_base)
     log_term = math.log2(1.0 / (r * delta_base))
-    growth = _as_float(_exact_pow(2, h)) * params.beta_eps * log_term if params.beta_eps else 0.0
+    growth = _pow(2, h) * params.beta_eps * log_term if params.beta_eps else 0.0
     return _pow(params.alpha_eps + growth, params.k)
 
 
@@ -252,20 +243,20 @@ def efficiency_report(
         )
     n_radon = radon_sample_size(r, h, n_base)
     m_seq = sequential_sample_size(params, r, delta_base, h)
-    m_approx = _as_float(_exact_pow(2, h)) * n_base
+    m_approx = _scaled_pow(2, h, n_base)
     h_star = choose_height(m_seq, params.k) if 2.0 < m_seq < math.inf else None
 
     runtime_radon = runtime_model(n_base, r, h, params.kappa, c_workers)
     runtime_seq = _pow(m_seq, params.kappa)
     cost = _pow(n_base, params.kappa)  # 0 where n_base ** kappa underflows
     overhead = _as_float(h * r**3) / cost if cost else (math.inf if h else 0.0)
-    gain = _as_float(_exact_pow(2, h * params.k * params.kappa))
+    gain = _pow(2, h * params.k * params.kappa)
     speedup = gain / (1.0 + overhead)
     if gain == overhead == math.inf:  # inf / inf: take the quotient in log2 space
         per_kappa = _as_float(h * params.k) + math.log2(n_base)  # log2(2^(h k) * n_base)
         kappa_term = _as_float(params.kappa) * per_kappa if per_kappa else 0.0  # no inf * 0
         log2_speedup = kappa_term - math.log2(h * r**3)
-        speedup = math.inf if log2_speedup >= 1024 else 2.0**log2_speedup
+        speedup = _pow(2, log2_speedup)
     inefficiency = _pow(m_seq, math.log2(r)) if m_seq > 0 else math.inf
     ld_m = math.log2(m_seq) if m_seq > 1.0 else math.nan
     ratio = m_seq / ld_m if m_seq < math.inf else math.inf

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .bounds import _as_float
 from .datasets import FORMATS, TASKS
 from .errors import ConfigError, DataError, require, require_number
 from .experiments import (
@@ -174,8 +173,7 @@ def _picker(section: dict, name: str):
     def pick(flag, key, default, cast):
         if flag is not None:
             return flag
-        value = require_number(section.get(key, default), f"{name}.{key}", integer=cast is int)
-        return value if cast is int else _as_float(value)
+        return require_number(section.get(key, default), f"{name}.{key}", integer=cast is int)
 
     return pick
 

@@ -27,14 +27,23 @@ class DegenerateSetError(DataError):
     """No usable non-zero coefficient vector exists for a point set."""
 
 
+def _as_float(value) -> float:
+    """float() that saturates to +inf instead of raising on huge ints."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf")
+
+
 def require_number(value, field: str, integer: bool = False):
-    """``value`` if it is a real number (an integer when ``integer``), else a
-    ConfigError naming ``field``; booleans count as neither."""
+    """``value`` as read: int(value) when ``integer``, else its float (+inf
+    past float range); a ConfigError naming ``field`` unless it is a real
+    number (an integer when ``integer``), booleans counting as neither."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integer else "a number"
         raise ConfigError(f"{field} must be {what}, got {value!r}")
-    return value
+    return int(value) if integer else _as_float(value)
 
 
 def require(ok: bool, field: str, rule: str, value) -> None:
@@ -47,6 +56,5 @@ def require(ok: bool, field: str, rule: str, value) -> None:
 def require_seed(value, field: str = "seed") -> int:
     """``value`` if it is a non-negative integer, as NumPy's seeding takes,
     else a ConfigError naming ``field``."""
-    require_number(value, field, integer=True)
-    require(value >= 0, field, "be >= 0", value)
+    require(require_number(value, field, integer=True) >= 0, field, "be >= 0", value)
     return value

@@ -34,7 +34,7 @@ from .aggregation import (
     partition_indices,
     train_on_partitions,
 )
-from .bounds import BoundReport, ComplexityParams, _as_float, _pow, efficiency_report
+from .bounds import BoundReport, ComplexityParams, _pow, efficiency_report
 from .datasets import (
     FORMATS, Dataset, kfold, load_dataset, synth_classification, synth_regression
 )
@@ -124,8 +124,9 @@ class ExperimentConfig:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
             _complexity_params(self.bounds)
             if "delta_base" in self.bounds:
-                delta_base = require_number(self.bounds["delta_base"], "bounds.delta_base")
-                require(0 < delta_base < 1, "bounds.delta_base", "lie in (0, 1)", delta_base)
+                delta_base = self.bounds["delta_base"]
+                ok = 0 < require_number(delta_base, "bounds.delta_base") < 1
+                require(ok, "bounds.delta_base", "lie in (0, 1)", delta_base)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -166,13 +167,10 @@ def _complexity_params(bounds: dict) -> ComplexityParams:
     """The base-learner model of a ``bounds`` section (a benchmark config's,
     or the values the bounds subcommand picked), which requires alpha_eps
     and beta_eps; ComplexityParams checks their ranges."""
-    for key in ("alpha_eps", "beta_eps"):
-        require_number(bounds.get(key), f"bounds.{key}")
-    for key in ("k", "kappa"):
-        require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
-    alpha_eps, beta_eps = _as_float(bounds["alpha_eps"]), _as_float(bounds["beta_eps"])
-    k, kappa = int(bounds.get("k", 1)), int(bounds.get("kappa", 1))
-    return _in_bounds_section(ComplexityParams, alpha_eps, beta_eps, k, kappa)
+    eps = [require_number(bounds.get(key), f"bounds.{key}") for key in ("alpha_eps", "beta_eps")]
+    ints = [require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
+            for key in ("k", "kappa")]
+    return _in_bounds_section(ComplexityParams, *eps, *ints)
 
 
 def config_section(raw: dict, name: str, keys=None) -> dict:
@@ -214,11 +212,11 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
         return load_dataset(path, fmt)
     seed = spec.get("seed")
     seed = require_seed(default_seed) if seed is None else require_seed(seed, "dataset.seed")
-    n = int(require_number(spec.get("n", 20000), "dataset.n", integer=True))
-    d = int(require_number(spec.get("d", 8), "dataset.d", integer=True))
+    n = require_number(spec.get("n", 20000), "dataset.n", integer=True)
+    d = require_number(spec.get("d", 8), "dataset.d", integer=True)
     classify = source == "synthetic-classification"
     key = "noise" if classify else "noise_sd"
-    noise = _as_float(require_number(spec.get(key, 0.1), f"dataset.{key}"))
+    noise = require_number(spec.get(key, 0.1), f"dataset.{key}")
     try:
         data, _ = (synth_classification if classify else synth_regression)(n, d, noise, seed)
     except ConfigError as exc:  # the message starts with the field's name

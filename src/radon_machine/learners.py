@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import _as_float
 from .datasets import Dataset
 from .errors import ConfigError, DataError, ShapeError, require, require_number
 
@@ -65,15 +64,15 @@ class LearnerSpec:
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ConfigError(f"learner.loss must be one of {LOSS_NAMES}, got {self.loss!r}")
-        require_number(self.reg_lambda, "learner.reg_lambda")
+        reg_lambda = require_number(self.reg_lambda, "learner.reg_lambda")
         require_number(self.epochs, "learner.epochs", integer=True)
-        require_number(self.learning_rate0, "learner.learning_rate0")
+        learning_rate0 = require_number(self.learning_rate0, "learner.learning_rate0")
         if not isinstance(self.fit_bias, bool):
             raise ConfigError(f"learner.fit_bias must be true or false, got {self.fit_bias!r}")
-        require(math.isfinite(_as_float(self.reg_lambda)) and self.reg_lambda >= 0,
+        require(math.isfinite(reg_lambda) and reg_lambda >= 0,
                 "learner.reg_lambda", "be finite and >= 0", self.reg_lambda)
         require(self.epochs >= 1, "learner.epochs", "be >= 1", self.epochs)
-        require(math.isfinite(_as_float(self.learning_rate0)) and self.learning_rate0 > 0,
+        require(math.isfinite(learning_rate0) and learning_rate0 > 0,
                 "learner.learning_rate0", "be finite and > 0", self.learning_rate0)
 
     def hypothesis_dim(self, data_dim: int) -> int:
