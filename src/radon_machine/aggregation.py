@@ -68,9 +68,7 @@ class AggregationTrace:
 
     ``pin_fallbacks`` and ``max_cert_residual`` hold one entry per Radon
     level: the number of groups whose winning pin is not 0, and the largest
-    certify() residual among the level's points.  ``deparallelisation_factor``
-    is the number of partitions, r^h: all of them train in the calling
-    process, whatever the worker count, so none of that work is spread.
+    certify() residual among the level's points.
     """
 
     hypotheses_per_level: list[int] = field(default_factory=list)
@@ -80,7 +78,6 @@ class AggregationTrace:
     wall_time_partition: float = 0.0
     wall_time_learning: float = 0.0
     wall_time_aggregation: float = 0.0
-    deparallelisation_factor: float = 1.0
 
 
 def max_height(n_rows: int, r: int, n_min: int) -> int:
@@ -252,7 +249,6 @@ def radon_machine(
     trace.n_subset = data.n_rows // parts
     trace.wall_time_partition = times["partition_s"]
     trace.wall_time_learning = times["learning_s"]
-    trace.deparallelisation_factor = float(parts)
     return Hypothesis(weights=final[0], fit_bias=spec.fit_bias), trace
 
 

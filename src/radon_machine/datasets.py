@@ -250,6 +250,14 @@ def _check_synth_shape(n: int, d: int) -> None:
         )
 
 
+def _synth_features(n: int, d: int, seed: int):
+    """The seeded generator, its unit separator and n rows uniform on [-1, 1]^d."""
+    rng = np.random.default_rng(seed)
+    w_true = rng.standard_normal(d)
+    w_true /= np.linalg.norm(w_true)
+    return rng, w_true, rng.uniform(-1.0, 1.0, size=(n, d))
+
+
 def synth_classification(
     n: int, d: int, margin_noise: float, seed: int
 ) -> tuple[Dataset, np.ndarray]:
@@ -261,10 +269,7 @@ def synth_classification(
     """
     _check_synth_shape(n, d)
     require(0.0 <= margin_noise <= 0.5, "noise", "lie in [0, 0.5]", margin_noise)
-    rng = np.random.default_rng(seed)
-    w_true = rng.standard_normal(d)
-    w_true /= np.linalg.norm(w_true)
-    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    rng, w_true, x = _synth_features(n, d, seed)
     y = np.where(x @ w_true >= 0.0, 1.0, -1.0)
     flips = rng.random(n) < margin_noise
     y[flips] *= -1.0
@@ -275,10 +280,7 @@ def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> tuple[Datase
     """Linear responses with Gaussian noise of standard deviation noise_sd."""
     _check_synth_shape(n, d)
     require(0.0 <= noise_sd < math.inf, "noise_sd", "be finite and >= 0", noise_sd)
-    rng = np.random.default_rng(seed)
-    w_true = rng.standard_normal(d)
-    w_true /= np.linalg.norm(w_true)
-    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    rng, w_true, x = _synth_features(n, d, seed)
     y = x @ w_true + noise_sd * rng.standard_normal(n)
     return Dataset(x=x, y=y, task="regression"), w_true
 

@@ -486,7 +486,6 @@ class TestTraceAccounting:
         assert trace.hypotheses_per_level == [64, 16, 4, 1]
         assert trace.wall_time_learning >= 0.0
         assert trace.wall_time_aggregation >= 0.0
-        assert trace.deparallelisation_factor == 64.0
 
     def test_invalid_config_values(self):
         with pytest.raises(ConfigError):
@@ -510,14 +509,6 @@ class TestSingleBlockKernel:
         expected = train(spec, data.subset(block), training_seeds(19, 1)[0]).weights
         assert weights.shape == (1, expected.size)
         assert weights[0].tobytes() == expected.tobytes()
-
-
-class TestDeparallelisationFactor:
-    def test_factor_is_the_partition_count_for_any_worker_count(self):
-        data, _ = synth_classification(4**3 * 20, 2, 0.1, seed=9)
-        spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
-        _, trace = radon_machine(spec, data, RadonConfig(r=4, h=3, seed=1, n_min=20, workers=8))
-        assert trace.deparallelisation_factor == 64.0
 
 
 class TestCachedPermutation:
