@@ -1,26 +1,26 @@
 """Parallel training on data partitions and tree aggregation of hypotheses.
 
-The main entry point trains r^h base hypotheses on disjoint partitions and
-folds them through h rounds of Radon points, each round replacing groups of
+One pipeline, ``_fit_all``, runs every fit: ``radon_machine``,
+experiments' ``fit`` and each CV fold of ``run_benchmark``.  It checks the
+tree (``_check_tree``), trains the r^h partitions once, and folds them:
+``radon`` through h rounds of Radon points, each round replacing groups of
 exactly r hypotheses (contiguous blocks in creation order) by their Radon
-point; ``_check_tree`` holds its preconditions for it and experiments'
-shared dispatch.  The averaging baseline trains on the same partitions and
-returns the coordinate-wise mean instead.
+point, and the averaging baseline ``avg`` to their coordinate-wise mean.
+``base``, and ``radon`` at h = 0, train once on all rows.  Every fit comes
+with an AggregationTrace.
 
 Training runs in-process for any worker count through one call of the
 block kernel (learners._train_block), which gives the same bits as one
 train() call per partition.  The kernel makes one Python pass per SGD step
 however many partitions it trains, so a process pool would only add fork
 and pickling cost; the package starts no process, and ``workers`` is
-checked but changes no result.  Radon levels fold in-process as well;
-``_radon_level`` solves a whole level with one stacked call of
-radon_points' kernel, and ``_fold_tree`` folds a tree with one such call
-per level: experiments' CV folds and ``fit`` take that path.  Only
-``radon_machine`` keeps the reference paths, with the same bits: its tree
-(``_aggregate_levels``) takes one radon_point call per group, as it
-reports each level's pin fallbacks and certificate residuals, and its SGD
-at one worker makes one train() call per partition (``_train_each``); the
-benchmark self-test counts the spans of both.  Partitions are read-only
+checked but changes no result.  A tree folds with one stacked call of
+radon_points' kernel per level (``_fold_tree``), whose certificate check
+gives each level's pin fallbacks and worst residual.  Only
+``radon_machine`` at one worker with SGD takes the reference paths, with
+the same bits and trace: one train() call per partition (``_train_each``)
+and one radon_point call per group (``_aggregate_levels``); the benchmark
+self-test counts the spans of both.  Partitions are read-only
 np.array_split views of one permutation, cached per (rows, parts, seed), so
 a CV fold draws them once to train and to checksum.
 """
@@ -37,6 +37,8 @@ from .datasets import Dataset
 from .errors import ConfigError, DataError, require, require_seed
 from .learners import Hypothesis, LearnerSpec, _check_sgd, _train_block, train
 from .radon_points import _radon_stack, _violations, radon_number, radon_point
+
+ALGORITHMS = ("base", "radon", "avg")
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,12 @@ class RadonConfig:
 
 @dataclass
 class AggregationTrace:
-    """Per-run accounting: tree shape, subset size, and phase wall times.
+    """Per-fit accounting: tree shape, subset size, and phase wall times.
 
     ``pin_fallbacks`` and ``max_cert_residual`` hold one entry per Radon
     level: the number of groups whose winning pin is not 0, and the largest
-    certify() residual among the level's points.
+    certify() residual among the level's points.  An ``avg`` fit's one mean
+    is a level with neither.
     """
 
     hypotheses_per_level: list[int] = field(default_factory=list)
@@ -133,7 +136,7 @@ def train_on_partitions(
     spec: LearnerSpec, data: Dataset, parts: int, seed: int, workers: int = 1
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Train one hypothesis per partition with one learners._train_block
-    call, in-process for any worker count: the shared path of both schemes.
+    call, in-process for any worker count, as the pipeline does.
 
     Returns the (parts, dim) weight matrix in partition order plus wall
     times for the partitioning and learning phases.
@@ -166,25 +169,29 @@ def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
     return point.reshape(*trees, rows // r, dim)
 
 
-def _fold_tree(points: np.ndarray, cfg: RadonConfig) -> np.ndarray:
-    """The (1, dim) root of _aggregate_levels' tree, with the same bits, from
-    one stacked _radon_level call per level and no trace."""
+def _fold_tree(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
+    """Fold cfg.h levels of Radon points over the hypothesis matrix, one
+    stacked _radon_stack call per level.
+
+    Returns the (1, dim) root and a trace of the tree: the hypothesis count,
+    pin fallbacks and worst certificate residual of every level, the last
+    two read off the kernel's own certificate check.
+    """
+    trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
     for _ in range(cfg.h):
-        points = _radon_level(points, cfg.r)
-    return points
+        _, pins, _, points, worst = _radon_stack(points.reshape(-1, cfg.r, points.shape[1]))
+        trace.hypotheses_per_level.append(points.shape[0])
+        trace.pin_fallbacks.append(int(np.count_nonzero(pins)))
+        trace.max_cert_residual.append(float(worst.max()))
+    return points, trace
 
 
 def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
-    """Fold cfg.h levels of Radon points over the hypothesis matrix.
-
-    Returns the root and a trace of the tree: the hypothesis count, pin
-    fallbacks and worst certificate residual of every level.  Each group
-    takes one radon_point call; the level's residuals come from one
-    stacked check of all its certificates, equal bit for bit to a certify()
-    call per group.  Only radon_machine folds this way: it reports each
-    level's pins and residuals, and the benchmark self-test counts its
-    radon_point spans (ROADMAP item 1); every other tree folds through
-    _fold_tree.
+    """_fold_tree's root and trace, with the same bits, from one radon_point
+    call per group; the level's residuals come from one stacked check of
+    all its certificates, equal bit for bit to a certify() call per group.
+    Only radon_machine's reference path folds this way: the benchmark
+    self-test counts its radon_point spans (ROADMAP item 1).
     """
     trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
     for _ in range(cfg.h):
@@ -221,35 +228,68 @@ def _check_tree(spec: LearnerSpec, data: Dataset, cfg: RadonConfig) -> None:
 def radon_machine(
     spec: LearnerSpec, data: Dataset, cfg: RadonConfig
 ) -> tuple[Hypothesis, AggregationTrace]:
-    """Train r^h partition models as train_on_partitions does (SGD at one
-    worker: one train() call each, _train_each, the traced reference path;
-    ROADMAP item 1) and fold them through h rounds of Radon points.
+    """Train r^h partition models and fold them through h rounds of Radon
+    points: ``radon`` of the pipeline (_fit_all).  SGD at one worker takes
+    the reference paths, one train() call per partition and one
+    radon_point call per group, which the benchmark self-test traces
+    (ROADMAP item 1).
 
     Requires cfg.r == hypothesis dimension + 2 and enough rows for every
     partition to hold at least cfg.n_min examples (see _check_tree).  With
     h = 0 this degenerates to training the base learner on the full dataset.
     """
-    _check_tree(spec, data, cfg)
-    if cfg.h == 0:
-        t0 = time.perf_counter()
-        hyp = train(spec, data, cfg.seed)
-        trace = AggregationTrace(
-            hypotheses_per_level=[1],
-            n_subset=data.n_rows,
-            wall_time_learning=time.perf_counter() - t0,
-        )
-        return hyp, trace
+    reference = cfg.workers == 1 and not spec.solves_exactly(data.dim)
+    return _fit_all(("radon",), spec, data, cfg, reference)["radon"]
 
+
+def _folds(name: str, h: int) -> bool:
+    """``avg``, and ``radon`` above h = 0, fold r^h partition models."""
+    return name == "avg" or (name == "radon" and h > 0)
+
+
+def _fit_all(
+    names, spec: LearnerSpec, data: Dataset, cfg: RadonConfig, reference: bool = False
+) -> dict[str, tuple[Hypothesis, AggregationTrace]]:
+    """The partition->learn->fold pipeline: a fit and its trace for each of
+    ``names``, from ALGORITHMS.
+
+    Those that fold share one training of the r^h partitions and its
+    partitioning and learning times: ``radon`` folds them through
+    _fold_tree, ``avg`` takes their mean.  Those that do not share one
+    train() call on all rows with seed cfg.seed and its time.  With
+    ``reference``, _train_each and _aggregate_levels stand in for the
+    block kernel and _fold_tree, with the same bits and trace.
+    """
+    for name in names:
+        if name not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+    if any(name != "base" for name in names):  # radon and avg fold r^h partitions
+        _check_tree(spec, data, cfg)
     parts = cfg.r**cfg.h
-    kernel = _train_each if cfg.workers == 1 and not spec.solves_exactly(data.dim) else _train_block
-    weights, times = _timed_training(kernel, spec, data, parts, cfg.seed)
-    t0 = time.perf_counter()
-    final, trace = _aggregate_levels(weights, cfg)
-    trace.wall_time_aggregation = time.perf_counter() - t0
-    trace.n_subset = data.n_rows // parts
-    trace.wall_time_partition = times["partition_s"]
-    trace.wall_time_learning = times["learning_s"]
-    return Hypothesis(weights=final[0], fit_bias=spec.fit_bias), trace
+    if any(_folds(name, cfg.h) for name in names):
+        kernel = _train_each if reference else _train_block
+        weights, times = _timed_training(kernel, spec, data, parts, cfg.seed)
+    fits = {}
+    whole = None  # base, and radon at h = 0: the same train() on all rows
+    for name in names:
+        t0 = time.perf_counter()
+        if not _folds(name, cfg.h):
+            if whole is None:
+                hyp = train(spec, data, cfg.seed)
+                learn = time.perf_counter() - t0
+                whole = hyp, AggregationTrace([1], n_subset=data.n_rows, wall_time_learning=learn)
+            fits[name] = whole
+            continue
+        if name == "radon":
+            roots, trace = (_aggregate_levels if reference else _fold_tree)(weights, cfg)
+        else:
+            roots, trace = weights.mean(axis=0)[None], AggregationTrace([parts, 1])
+        trace.n_subset = data.n_rows // parts
+        trace.wall_time_partition = times["partition_s"]
+        trace.wall_time_learning = times["learning_s"]
+        trace.wall_time_aggregation = time.perf_counter() - t0
+        fits[name] = Hypothesis(weights=roots[0], fit_bias=spec.fit_bias), trace
+    return fits
 
 
 def averaging_at_end(

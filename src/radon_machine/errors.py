@@ -28,15 +28,16 @@ class DegenerateSetError(DataError):
 
 
 def _as_float(value) -> float:
-    """float() that saturates to +inf instead of raising on huge ints."""
+    """float() that saturates to +-inf, by sign, instead of raising on huge
+    ints."""
     try:
         return float(value)
     except OverflowError:
-        return float("inf")
+        return float("inf") if value > 0 else float("-inf")
 
 
 def require_number(value, field: str, integer: bool = False):
-    """``value`` as read: int(value) when ``integer``, else its float (+inf
+    """``value`` as read: int(value) when ``integer``, else its float (+-inf
     past float range); a ConfigError naming ``field`` unless it is a real
     number (an integer when ``integer``), booleans counting as neither."""
     kind = numbers.Integral if integer else numbers.Real

@@ -1,13 +1,13 @@
 """Experiment orchestration: benchmarks, bound validation, bound tables.
 
-``fit`` and ``run_benchmark`` share one dispatch, ``_fit_all``: ``base``
-(and ``radon`` at h = 0) trains on all rows, while ``radon`` and ``avg``
-fold the weight matrix of one train_on_partitions call.  ``radon`` folds
-it with one stacked Radon solve per level (aggregation._fold_tree), so
-every CV fold and the CLI's ``train`` make no radon_point call per group;
-only radon_machine does, for its per-level trace.  ``run_benchmark`` trains
-every fold on the rows of ``learners.with_bias_column``, built once per run,
-so a fold's split is one take and no fold copies its rows again.
+``fit`` and every fold of ``run_benchmark`` run aggregation's one
+partition->learn->fold pipeline (``_fit_all``): ``base`` (and ``radon`` at
+h = 0) trains on all rows, while ``radon`` and ``avg`` fold the partition
+models of one training, ``radon`` with one stacked Radon solve per level.
+Each fit returns its AggregationTrace, and a benchmark row reads its phase
+times off it.  ``run_benchmark`` trains every fold on the rows of
+``learners.with_bias_column``, built once per run, so a fold's split is one
+take and no fold copies its rows again.
 
 Reports are plain dicts written as pretty JSON with sorted keys plus a flat
 CSV of per-fold rows, so re-running a configuration with the same seed
@@ -26,26 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import (
-    RadonConfig,
-    _check_tree,
-    _fold_tree,
-    _radon_level,
-    max_height,
+    ALGORITHMS, AggregationTrace, RadonConfig, _fit_all, _folds, _radon_level, max_height,
     partition_indices,
-    train_on_partitions,
 )
 from .bounds import BoundReport, ComplexityParams, _pow, efficiency_report
 from .datasets import (
     FORMATS, Dataset, kfold, load_dataset, synth_classification, synth_regression
 )
 from .errors import ConfigError, require, require_number, require_seed
-from .learners import (
-    Hypothesis, LearnerSpec, predict_score, train, with_bias_column, without_bias_column
-)
+from .learners import Hypothesis, LearnerSpec, predict_score, with_bias_column, without_bias_column
 from .metrics import auc, rmse
 from .radon_points import radon_number
-
-ALGORITHMS = ("base", "radon", "avg")
 
 BENCHMARK_CSV_COLUMNS = [
     "algorithm",
@@ -324,10 +315,11 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         if any(_folds(name, h) for name in config.algorithms):
             checksum = partition_checksum(train_idx, r**h, config.seed)
         for name in config.algorithms:
-            hyp, times = fits[name]
-            row = {**times, "partition_checksum": checksum if _folds(name, h) else None}
-            row["total_s"] = row["partition_s"] + row["learning_s"] + row["aggregation_s"]
-            row["fold"] = fold
+            hyp, trace = fits[name]
+            row = {"partition_s": trace.wall_time_partition, "learning_s": trace.wall_time_learning,
+                   "aggregation_s": trace.wall_time_aggregation}
+            row["total_s"] = sum(row.values())
+            row.update(fold=fold, partition_checksum=checksum if _folds(name, h) else None)
             row["metric"] = _evaluate(hyp, data, test_idx, spec)
             per_alg[name].append(row)
 
@@ -369,53 +361,16 @@ def run_benchmark(config: ExperimentConfig) -> dict:
 
 def fit(
     name: str, spec: LearnerSpec, data: Dataset, cfg: RadonConfig
-) -> tuple[Hypothesis, dict[str, float]]:
+) -> tuple[Hypothesis, AggregationTrace]:
     """Train one of ALGORITHMS on ``data``.
 
     ``base`` trains on all rows with seed cfg.seed, ``radon`` runs the Radon
     machine with ``cfg``, and ``avg`` averages the cfg.r ** cfg.h partition
     models the Radon machine would fold; both check the tree first, as
-    radon_machine does.  Returns the hypothesis and the wall times of its
-    partitioning, learning and aggregation phases.
+    radon_machine does.  Returns the hypothesis and its trace, whose wall
+    times split the partitioning, learning and aggregation phases.
     """
     return _fit_all((name,), spec, data, cfg)[name]
-
-
-def _folds(name: str, h: int) -> bool:
-    """``avg``, and ``radon`` above h = 0, fold r^h partition models."""
-    return name == "avg" or (name == "radon" and h > 0)
-
-
-def _fit_all(
-    names, spec: LearnerSpec, data: Dataset, cfg: RadonConfig
-) -> dict[str, tuple[Hypothesis, dict[str, float]]]:
-    """``fit`` for each of ``names``; those that fold share one
-    train_on_partitions call and its partitioning and learning times, and
-    those that do not share one train() call and its time.  ``radon``
-    takes its root from _fold_tree, one stacked solve per level, with
-    radon_machine's bits but without its per-group trace."""
-    for name in names:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if any(name != "base" for name in names):  # radon and avg fold r^h partitions
-        _check_tree(spec, data, cfg)
-    if any(_folds(name, cfg.h) for name in names):
-        weights, times = train_on_partitions(spec, data, cfg.r**cfg.h, cfg.seed, workers=cfg.workers)
-    fits = {}
-    whole = None  # base, and radon at h = 0: the same train() on all rows
-    for name in names:
-        t0 = time.perf_counter()
-        if not _folds(name, cfg.h):
-            if whole is None:
-                hyp = train(spec, data, cfg.seed)
-                learn = time.perf_counter() - t0
-                whole = hyp, {"partition_s": 0.0, "learning_s": learn, "aggregation_s": 0.0}
-            fits[name] = whole
-            continue
-        root = _fold_tree(weights, cfg)[0] if name == "radon" else weights.mean(axis=0)
-        hyp = Hypothesis(weights=root, fit_bias=spec.fit_bias)
-        fits[name] = hyp, {**times, "aggregation_s": time.perf_counter() - t0}
-    return fits
 
 
 def _mc_shard(

@@ -160,17 +160,17 @@ def _solve_allowing_free_vars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _radon_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _radon_stack(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Radon points of a stack of finite sets, ``pts`` of shape (n, r, r - 2).
 
     Returns the coefficient vectors (n, r), winning pins (n,), positive
-    masses L (n,) and points (n, r - 2).  Every set is solved at pin 0 by one
-    stacked LAPACK call.  A set passes when its pinned matrix is not exactly
-    singular, its residual is within tolerance and some coefficient is
-    negative; every other set goes through solve_radon_system's elimination
-    and first-passing-pin rule.  Each point is the convex combination of its
-    set's non-negative side, and every point is checked against its
-    certificate (see _certify_stack).
+    masses L (n,), points (n, r - 2) and each point's certify() residual
+    (n,).  Every set is solved at pin 0 by one stacked LAPACK call.  A set
+    passes when its pinned matrix is not exactly singular, its residual is
+    within tolerance and some coefficient is negative; every other set goes
+    through solve_radon_system's elimination and first-passing-pin rule.
+    Each point is the convex combination of its set's non-negative side,
+    and every point is checked against its certificate (see _certify_stack).
 
     Layout: the stack is held sets-last, as ``h_t`` (r, d + 1, n), the
     columns of every set's matrix [points^T; 1] with the n sets as the
@@ -215,8 +215,8 @@ def _radon_stack(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     lambda_sum = weights.sum(axis=1)
     w = weights / lambda_sum[:, None]
     point = (w.T[:, None, :] * pts_t).sum(axis=0).T.copy()
-    _certify_stack(pts_t, lam, lambda_sum, point, tol)
-    return lam, pins, lambda_sum, point
+    worst = _certify_stack(pts_t, lam, lambda_sum, point, tol)
+    return lam, pins, lambda_sum, point, worst
 
 
 def _violations(pts_t, lam, pos, lambda_sum, point) -> np.ndarray:
@@ -235,10 +235,10 @@ def _violations(pts_t, lam, pos, lambda_sum, point) -> np.ndarray:
     return worst
 
 
-def _certify_stack(pts_t, lam, lambda_sum, point, tol) -> None:
-    """Raise DegenerateSetError unless every set's certificate, split by the
-    signs of its coefficients, holds within its tolerance; ``pts_t`` is the
-    stack sets-last, (r, d, n)."""
+def _certify_stack(pts_t, lam, lambda_sum, point, tol) -> np.ndarray:
+    """Each set's largest violation of its certificate, split by the signs of
+    its coefficients; DegenerateSetError unless every one is within its
+    tolerance.  ``pts_t`` is the stack sets-last, (r, d, n)."""
     worst = _violations(pts_t, lam, lam >= 0.0, lambda_sum, point)
     failed = np.flatnonzero(~(worst <= tol))
     if failed.size:
@@ -247,12 +247,13 @@ def _certify_stack(pts_t, lam, lambda_sum, point, tol) -> None:
             f"Radon point of set {i} violates its certificate by {worst[i]:.3g} "
             f"(tolerance {tol[i]:.3g})"
         )
+    return worst
 
 
 def radon_point(points) -> RadonCertificate:
     """Compute a Radon point of r = dim + 2 points, with its certificate."""
     pts = as_point_array(points)
-    lam, pins, lambda_sum, point = _radon_stack(pts[None])
+    lam, pins, lambda_sum, point, _ = _radon_stack(pts[None])
     lam = lam[0]
     return RadonCertificate(
         lam=lam,

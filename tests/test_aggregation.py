@@ -599,13 +599,19 @@ class TestLevelCertificates:
         assert all(residual > 0.0 for residual in residuals)
 
     @pytest.mark.parametrize("fallback", [False, True])
-    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1), (4, 3), (6, 2)])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (7, 1), (4, 3), (6, 2), (6, 3)])
     def test_stacked_fold_equals_the_traced_root(self, r, h, fallback):
-        # the stacked fold of fit() and CV folds against radon_machine's tree
+        # the stacked fold against the reference tree: the same root, and the
+        # same trace read off the kernel's own certificate check
         seed = 31 + r
         points = _tree_points(r, h, seed, fallback)
         cfg = RadonConfig(r=r, h=h, seed=seed)
-        assert _fold_tree(points, cfg).tobytes() == _aggregate_levels(points, cfg)[0].tobytes()
+        root, trace = _fold_tree(points, cfg)
+        expected_root, expected_trace = _aggregate_levels(points, cfg)
+        assert root.tobytes() == expected_root.tobytes()
+        assert trace == expected_trace
+        assert trace.hypotheses_per_level == [r**level for level in range(h, -1, -1)]
+        assert (trace.pin_fallbacks[0] > 0) == fallback
 
     def test_radon_machine_calls_no_certify(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from radon_machine import (
+    AggregationTrace,
     ComplexityParams,
     ConfigError,
     DataError,
@@ -139,12 +140,14 @@ class TestFit:
         data, _ = synth_classification(1200, 2, 0.1, seed=6)
         spec = LearnerSpec(loss="logistic", epochs=2)
         cfg = RadonConfig(r=5, h=1, seed=8, n_min=100)
-        base, times = fit("base", spec, data, cfg)
+        base, trace = fit("base", spec, data, cfg)
         assert np.array_equal(base.weights, train(spec, data, 8).weights)
-        assert times["partition_s"] == times["aggregation_s"] == 0.0
-        radon, times = fit("radon", spec, data, cfg)
+        assert trace.wall_time_partition == trace.wall_time_aggregation == 0.0
+        assert (trace.hypotheses_per_level, trace.n_subset) == ([1], 1200)
+        radon, trace = fit("radon", spec, data, cfg)
         assert np.array_equal(radon.weights, radon_machine(spec, data, cfg)[0].weights)
-        assert set(times) == {"partition_s", "learning_s", "aggregation_s"}
+        assert type(trace) is AggregationTrace and trace.hypotheses_per_level == [5, 1]
+        assert min(trace.wall_time_partition, trace.wall_time_learning) > 0.0
         avg, _ = fit("avg", spec, data, cfg)
         assert np.array_equal(avg.weights, averaging_at_end(spec, data, 5, 8).weights)
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -254,13 +257,13 @@ class TestBoundsTable:
 class TestSharedPartitionTraining:
     def test_each_fold_trains_once_and_matches_fit(self, monkeypatch):
         calls = []
-        original = experiments.train_on_partitions
+        original = aggregation._train_block  # the pipeline's learning call
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "train_on_partitions", counting)
+        monkeypatch.setattr(aggregation, "_train_block", counting)
         config = ExperimentConfig(**SMALL_BENCH)
         report = run_benchmark(config)
         assert len(calls) == config.cv_folds
@@ -470,13 +473,13 @@ class TestFoldWorkDoneOnce:
 
     def test_base_and_radon_at_height_zero_train_once(self, monkeypatch):
         calls = []
-        original = experiments.train
+        original = aggregation.train
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "train", counting)
+        monkeypatch.setattr(aggregation, "train", counting)
         config = ExperimentConfig(
             **{**SMALL_BENCH, "learner": LearnerSpec(loss="hinge", epochs=2), "h": 0}
         )
@@ -487,9 +490,15 @@ class TestFoldWorkDoneOnce:
         assert all(row["partition_checksum"] is None for row in base)
 
 
+def _untimed(trace: AggregationTrace) -> tuple:
+    """A trace's non-timing fields."""
+    return trace.hypotheses_per_level, trace.pin_fallbacks, trace.max_cert_residual, trace.n_subset
+
+
 class TestFoldPathsAgree:
-    """fit("radon") folds one stack per level; radon_machine one radon_point
-    per group.  Both must give the same bits."""
+    """fit("radon") folds one stack per level; radon_machine at one worker
+    with SGD one radon_point per group.  Both must give the same bits and
+    the same trace."""
 
     @pytest.mark.parametrize("h", [1, 2])
     @pytest.mark.parametrize(
@@ -502,15 +511,18 @@ class TestFoldPathsAgree:
         spec = LearnerSpec(loss=loss, epochs=1, fit_bias=fit_bias)
         r = spec.hypothesis_dim(d) + 2
         data, _ = synth_classification(r**2 * 20, d, 0.1, seed=d)
-        cfg = RadonConfig(r=r, h=h, seed=5, n_min=20)
-        expected = radon_machine(spec, data, cfg)[0].weights
+        cfgs = [RadonConfig(r=r, h=h, seed=5, n_min=20, workers=workers) for workers in (1, 2)]
+        machines = [radon_machine(spec, data, cfg) for cfg in cfgs]
 
         def refuse(*args, **kwargs):
             raise AssertionError("radon_point() was called")
 
         monkeypatch.setattr(aggregation, "radon_point", refuse)
-        hyp, _ = fit("radon", spec, data, cfg)
-        assert hyp.weights.tobytes() == expected.tobytes()
+        for cfg, (expected, expected_trace) in zip(cfgs, machines):
+            hyp, trace = fit("radon", spec, data, cfg)
+            assert hyp.weights.tobytes() == expected.weights.tobytes()
+            assert _untimed(trace) == _untimed(expected_trace)
+            assert len(trace.max_cert_residual) == len(trace.pin_fallbacks) == h
 
 
 class TestSeedRange:

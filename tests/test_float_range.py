@@ -1,5 +1,5 @@
 """Float range has two owners: ``errors.require_number`` reads every outside
-number, saturating it to +inf past float range, and ``bounds._pow`` takes
+number, saturating it to +-inf past float range, and ``bounds._pow`` takes
 every power of the bound calculators.
 
 The first tests pin what the two owners give at the edge of float range; a
@@ -8,6 +8,7 @@ being written out again anywhere else.
 """
 
 import ast
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -15,16 +16,23 @@ from pathlib import Path
 import numpy as np
 
 from radon_machine import ComplexityParams, boosted_confidence, efficiency_report
+from radon_machine.cli import main
 from radon_machine.errors import require_number
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "radon_machine"
 
 
-def test_require_number_returns_the_value_read():
+def test_require_number_returns_the_value_read(tmp_path, capsys):
     assert require_number(10**400, "f") == math.inf
+    assert require_number(-(10**400), "f") == -math.inf
+    assert require_number(Fraction(-(10**400)), "f") == -math.inf
     assert require_number(3, "f") == 3.0 and type(require_number(3, "f")) is float
     assert require_number(7, "f", integer=True) == 7
     assert type(require_number(np.int64(7), "f", integer=True)) is int
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset": {"noise": -(10**400)}}))
+    assert main(["benchmark", "--config", str(config)]) == 2
+    assert "dataset.noise must lie in [0, 0.5], got -inf\n" in capsys.readouterr().err
 
 
 def test_m_sequential_approx_past_float_range_is_finite():

@@ -19,15 +19,18 @@ def test_prints_one_digest_per_output_and_a_digest_of_them(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     digests = dict(line.rsplit(" ", 1) for line in lines)
     # four learners (squared loss at its default reg_lambda and at 0) in the
-    # benchmark and train digests; two SGD learners in the radon_machine ones;
-    # two mc_confidence runs; one bounds table per (k, kappa)
-    assert len(digests) == len(lines) == 4 * 2 * 3 * 2 + 2 * 2 * 2 + 3 * 4 * 2 + 2 * 3 + 3 * 3 + 1
+    # benchmark and train digests; two SGD learners in the radon_machine ones,
+    # each with its root and its trace; two mc_confidence runs; one bounds
+    # table per (k, kappa)
+    assert len(digests) == len(lines) == (
+        4 * 2 * 3 * 2 + 2 * 2 * 2 * 2 + 3 * 4 * 2 + 2 * 3 + 3 * 3 + 1
+    )
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
     assert digests.pop("all") == hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()
     for name, digest in digests.items():
         if name.endswith("workers=1"):  # radon_machine's per-partition path included
             assert digests[name.replace("workers=1", "workers=2")] == digest
-    assert len(set(digests.values())) == len(digests) - 4 * 2 * 3 - 2 * 2  # all else distinct
+    assert len(set(digests.values())) == len(digests) - 4 * 2 * 3 - 2 * 2 * 2  # all else distinct
 
 
 def test_report_digest_skips_the_config_echo_and_timings(monkeypatch):

@@ -113,12 +113,13 @@ class TestRadonStack:
         ]
         random_sets = rng.standard_normal((10, 4, 2))
         stack = np.concatenate([random_sets[:5], degenerate, random_sets[5:]])
-        lam, pins, lambda_sum, point = _radon_stack(stack)
+        lam, pins, lambda_sum, point, worst = _radon_stack(stack)
         for i, group in enumerate(stack):
             cert = radon_point(group)
             assert np.array_equal(point[i], cert.point)
             assert np.array_equal(lam[i], cert.lam)
             assert (pins[i], lambda_sum[i]) == (cert.pin, cert.lambda_sum)
+            assert worst[i] == certify(group, cert)
         assert pins[5] == 1 and radon_point(FORCED_SINGLETON).pin == 1
         assert np.allclose(point[5], [1.0, 1.0], atol=1e-12)
         assert np.array_equal(point[6], [1.5, -2.0])
@@ -136,7 +137,7 @@ class TestRadonStack:
 
     def test_certificate_check_rejects_corrupted_coefficients(self):
         stack = np.random.default_rng(29).standard_normal((6, 5, 3))
-        lam, _, lambda_sum, point = _radon_stack(stack)
+        lam, _, lambda_sum, point, _ = _radon_stack(stack)
         tol = np.full(6, 1e-9)
         _certify_stack(stack.transpose(1, 2, 0), lam, lambda_sum, point, tol)
         corrupted = lam.copy()

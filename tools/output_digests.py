@@ -21,6 +21,11 @@ output, then an ``all`` line digesting the lines above it:
   trains the partitions one train() call at a time with one worker and in
   the lock-step kernel with two, so the two lines of a learner show that
   both paths give the same bits;
+- ``radon_machine trace``: the ``repr`` of the non-timing trace fields
+  (``hypotheses_per_level``, ``pin_fallbacks``, ``max_cert_residual`` and
+  ``n_subset``) of each of those fits.  One worker folds one radon_point
+  call per group and two workers one stacked solve per level, so the two
+  lines of a learner show that both folds give the same trace;
 - ``train``: the model file ``radon-machine train --workers 2`` writes for
   each of ``base``, ``radon`` and ``avg`` with each of those learners, bias
   on and off;
@@ -101,7 +106,8 @@ def benchmark_digests(
 
 
 def radon_machine_digests(rm, losses=LOSSES[:2], workers=WORKERS) -> dict[str, str]:
-    """Digest of the root weights of each radon_machine fit."""
+    """Digest of the root weights, and of the non-timing trace, of each
+    radon_machine fit."""
     data, _ = rm.synth_classification(1500, 3, 0.1, seed=5)
     digests = {}
     for loss in losses:
@@ -110,9 +116,12 @@ def radon_machine_digests(rm, losses=LOSSES[:2], workers=WORKERS) -> dict[str, s
             r = rm.radon_number(spec.hypothesis_dim(data.dim))
             for count in workers:
                 cfg = rm.RadonConfig(r=r, h=2, seed=5, n_min=20, workers=count)
-                root, _ = rm.radon_machine(spec, data, cfg)
-                name = f"radon_machine {loss} bias={fit_bias} workers={count}"
-                digests[name] = _sha256(root.weights.tobytes())
+                root, trace = rm.radon_machine(spec, data, cfg)
+                name = f"{loss} bias={fit_bias} workers={count}"
+                digests[f"radon_machine {name}"] = _sha256(root.weights.tobytes())
+                fields = (trace.hypotheses_per_level, trace.pin_fallbacks,
+                          trace.max_cert_residual, trace.n_subset)
+                digests[f"radon_machine trace {name}"] = _sha256(repr(fields).encode())
     return digests
 
 
