@@ -265,8 +265,8 @@ def _fit_all(
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if any(name != "base" for name in names):  # radon and avg fold r^h partitions
         _check_tree(spec, data, cfg)
-    parts = cfg.r**cfg.h
-    if any(_folds(name, cfg.h) for name in names):
+    if any(_folds(name, cfg.h) for name in names):  # only a checked tree builds r^h
+        parts = cfg.r**cfg.h
         kernel = _train_each if reference else _train_block
         weights, times = _timed_training(kernel, spec, data, parts, cfg.seed)
     fits = {}

@@ -411,6 +411,19 @@ class TestOneCapacityRule:
             DataError, f"need at least 100 * 6^{h} rows for r=6, h={h}, n_min=100; got 400"
         )
 
+    def test_base_at_a_huge_height_builds_no_power(self):
+        # base builds no tree, so its height is never checked (CLI `train
+        # --algorithm base --h 10**12`); r ** h would not fit in memory
+        class NoPower(int):
+            def __pow__(self, other):
+                raise AssertionError("r ** h was built")
+
+        data, _ = synth_classification(400, 3, 0.1, seed=0)
+        spec = LearnerSpec(loss="squared")
+        hyp, trace = fit("base", spec, data, RadonConfig(r=NoPower(6), h=10**12, seed=0))
+        assert hyp.weights.tobytes() == train(spec, data, 0).weights.tobytes()
+        assert trace.hypotheses_per_level == [1]
+
     def test_same_verdict_as_the_row_count_rule(self):
         spec = LearnerSpec(loss="squared", fit_bias=False)
         for r in (3, 4, 5):
