@@ -253,19 +253,17 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
     return digest.hexdigest()
 
 
-def _evaluate(
-    hyp: Hypothesis, data: Dataset, test_idx: np.ndarray, spec: LearnerSpec | None = None
-) -> float:
-    """AUC or RMSE of ``hyp`` on the rows at ``test_idx``.  Pass ``spec``
-    when ``hyp`` and ``data`` are a fit on, and the rows of,
-    ``with_bias_column(spec, ...)``, so they are scored as under ``spec``."""
-    x = data.x.take(test_idx, axis=0)
+def _evaluate(hyp: Hypothesis, test: Dataset, spec: LearnerSpec | None = None) -> float:
+    """AUC or RMSE of ``hyp`` on the rows of ``test``.  Pass ``spec`` when
+    ``hyp`` and ``test`` are a fit on, and rows of, ``with_bias_column(spec,
+    ...)``, so they are scored as under ``spec``."""
+    x = test.x
     if spec is not None:
         hyp, x = without_bias_column(spec, hyp, x)
     scores = predict_score(hyp, x)
-    if data.task == "binary":
-        return auc(scores, data.y.take(test_idx))
-    return rmse(scores, data.y.take(test_idx))
+    if test.task == "binary":
+        return auc(scores, test.y)
+    return rmse(scores, test.y)
 
 
 def run_benchmark(config: ExperimentConfig) -> dict:
@@ -275,8 +273,13 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     held-out fold (AUC for binary tasks, RMSE for regression), and records
     partitioning, learning, and aggregation wall times separately.  ``radon``
     and ``avg`` fold the same partition models, trained once per fold, so
-    their rows carry the same ``partition_s`` and ``learning_s``.  Writes a
-    JSON report and a flat per-fold CSV when ``config.out`` is set.
+    their rows carry the same ``partition_s`` and ``learning_s``.  A
+    ``radon`` row above h = 0 also carries its tree's trace: the
+    hypotheses, pin fallbacks and worst certificate residual per level
+    (``hypotheses_per_level``, ``pin_fallbacks``, ``max_cert_residual``).
+    A fold's test rows are gathered once and score every algorithm.  Writes
+    a JSON report and a flat per-fold CSV, without the trace, when
+    ``config.out`` is set.
 
     Every fold trains on the rows and spec of ``with_bias_column``, which
     replace ``x`` once per run (so the run holds one matrix, not two): with
@@ -300,7 +303,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     for fold in range(config.cv_folds):
         train_idx = plan.train_indices(fold)
         train_split = data.subset(train_idx)
-        test_idx = plan.test_indices(fold)
+        test = data.subset(plan.test_indices(fold))
         h = resolve_height(config.h, train_split.n_rows, r, config.n_min, tree=tree)
         heights.append(h)
         if config.bounds and fold == 0:  # at fold 0's height, before any fold trains
@@ -320,7 +323,11 @@ def run_benchmark(config: ExperimentConfig) -> dict:
                    "aggregation_s": trace.wall_time_aggregation}
             row["total_s"] = sum(row.values())
             row.update(fold=fold, partition_checksum=checksum if _folds(name, h) else None)
-            row["metric"] = _evaluate(hyp, data, test_idx, spec)
+            if name == "radon" and h > 0:  # at h = 0 radon is base, row for row
+                row.update(hypotheses_per_level=trace.hypotheses_per_level,
+                           pin_fallbacks=trace.pin_fallbacks,
+                           max_cert_residual=trace.max_cert_residual)
+            row["metric"] = _evaluate(hyp, test, spec)
             per_alg[name].append(row)
 
     algorithms = {}

@@ -20,6 +20,18 @@ Each step follows the gradient of loss_i + (reg_lambda / (2n)) * ||w||^2,
 an unbiased estimate of risk / n, so the stationary target is the summed
 objective above; the decay constant reg_lambda / n matches that per-step
 objective's regulariser.  Training is a pure function of (spec, data, seed).
+
+SGD steps on signed rows: ``y * [x, 1]`` for logistic and hinge loss,
+whose labels are +-1, and ``[x, 1]`` for squared loss, built once per fit
+(_step_rows).  A step scores the margin s = <row, w> and takes the loss's
+derivative in the margin, c (_step_factor), so its gradient is c * row
+with no label read for the classification losses.  That keeps the bits of
+stepping on ``[x, 1]`` with loss_derivatives: multiplying by +-1 is exact,
+so s is y times the score and c * (y * x) is loss_derivatives' value times
+x.  The two margins can differ only in the sign of a zero, which no factor
+reads; a hinge step outside the margin adds a zero gradient whose sign may
+differ, which moves no bit: the weights start at +0.0, no update makes
+one -0.0, and adding a zero of either sign leaves any other weight as it is.
 ``_train_block`` trains many partitions in the caller's process and
 returns the same bits as one ``train`` call per partition: SGD runs in
 lock-step, and exact squared-loss solves go as one stacked solve per run of
@@ -119,7 +131,8 @@ def loss_values(loss: str, scores, labels) -> np.ndarray:
 
 
 def loss_derivatives(loss: str, scores, labels) -> np.ndarray:
-    """d loss / d score, used by the SGD step and the gradient checks."""
+    """d loss / d score.  SGD steps with _step_factor instead; this is the
+    reference the gradient checks and the SGD bit tests hold it to."""
     z = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if loss == "logistic":
@@ -175,17 +188,47 @@ def _check_labels(spec: LearnerSpec, data: Dataset) -> None:
             raise DataError(f"learner.loss {spec.loss!r} requires labels in {{-1, +1}}")
 
 
+def _step_rows(spec: LearnerSpec, data: Dataset) -> np.ndarray:
+    """The rows SGD steps on, one copy: ``y * [x, 1]`` for logistic and
+    hinge loss, whose labels are +-1, and ``[x, 1]`` for squared loss (the
+    column of ones only with ``fit_bias``)."""
+    if spec.loss not in CLASSIFICATION_LOSSES:
+        return _augmented(data.x, spec.fit_bias)
+    n, d = data.x.shape
+    rows = np.empty((n, spec.hypothesis_dim(d)))
+    np.multiply(data.x, data.y[:, None], out=rows[:, :d])
+    if spec.fit_bias:
+        rows[:, d] = data.y
+    return rows
+
+
+def _step_factor(loss: str, s, y):
+    """d loss / d margin at the margins ``s`` (a row of _step_rows dotted
+    with the weights), so a step's gradient is this factor times the row.
+    For logistic and hinge the margin is y * score and the factor y times
+    loss_derivatives'; for squared loss the margin is the score, and ``y``
+    holds the labels that only this loss reads."""
+    if loss == "logistic":
+        # -sigmoid(-s), with the stable branch picked per sign of s
+        ns = -s
+        return np.exp(np.minimum(ns, 0.0)) / (-1.0 - np.exp(np.minimum(ns, s)))
+    if loss == "hinge":
+        return np.where(s < 1.0, -1.0, 0.0)
+    return s - y
+
+
 def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:
     """Fit a linear model; deterministic given (spec, data, seed)."""
     _check_labels(spec, data)
-    xa = _augmented(data.x, spec.fit_bias)
-    n, p = xa.shape
-
     if spec.solves_exactly(data.dim):
+        xa = _augmented(data.x, spec.fit_bias)
         w = _solve_normal_equations(xa, data.y, spec.reg_lambda)
         return Hypothesis(weights=w, fit_bias=spec.fit_bias)
 
-    _check_sgd(spec, xa, n)
+    rows = _step_rows(spec, data)
+    n, p = rows.shape
+    _check_sgd(spec, rows, n)
+    labels = data.y if spec.loss == "squared" else None
     rng = np.random.default_rng(seed)
     w = np.zeros(p)
     lr0 = spec.learning_rate0
@@ -195,12 +238,12 @@ def train(spec: LearnerSpec, data: Dataset, seed: int) -> Hypothesis:
     for _ in range(spec.epochs):
         order = rng.permutation(n)
         for i in order:
-            xi = xa[i]
-            # The row-wise sum, not xi @ w, so that _train_block, which
-            # scores a whole block with (x * w).sum(axis=1), matches bit for bit.
-            g = loss_derivatives(spec.loss, (xi * w).sum(), data.y[i])
+            row = rows[i]
+            # The row-wise sum, not row @ w, so that _train_block, which
+            # scores a whole block with a sum along its rows, matches bit for bit.
+            c = _step_factor(spec.loss, (row * w).sum(), None if labels is None else labels[i])
             eta = lr0 / (1.0 + decay * t)
-            w -= eta * (g * xi + reg_step * w)
+            w -= eta * (c * row + reg_step * w)
             t += 1
     if not np.all(np.isfinite(w)):
         raise _diverged(spec)
@@ -216,7 +259,8 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     hold one row more).  Both branches read their rows by id from one copy
     of ``data``'s rows, with the bias column appended if the spec asks for
     it (a CV run hands in rows that already carry it; see
-    with_bias_column).
+    with_bias_column): SGD from its step rows, the exact solve from the
+    rows themselves.
 
     The SGD runs of the partitions advance in lock-step: step s of every
     partition still running is one vectorised update, so the Python loop
@@ -225,21 +269,23 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     s are always a prefix of them.  Each partition keeps its own per-epoch
     permutations and its own step-size and regulariser constants from its
     own row count.  Each epoch starts by filling two (steps, partitions)
-    tables once: the row ids that each partition's permutation visits, and
-    their step sizes.  A pass gathers its rows and labels by id and reads
-    its step sizes off the table.  Exact squared loss with reg_lambda > 0
-    skips SGD: each run of equal-size partitions is gathered with one take
-    and solved as one stack.
+    tables once: the ids of the step rows (_step_rows) that each
+    partition's permutation visits, and their step sizes.  A pass gathers
+    its step rows by id (and, for squared loss only, their labels), sums
+    row * w along each row for the margins, and reads its step sizes off
+    the table.  Exact squared loss with reg_lambda > 0 skips SGD: each run
+    of equal-size partitions is gathered with one take and solved as one
+    stack.
     """
     _check_labels(spec, data)
     exact = spec.solves_exactly(data.dim)
     if exact and spec.reg_lambda == 0.0:  # lstsq does not stack
         return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
-    xa = _augmented(data.x, spec.fit_bias)
     sizes = np.array([len(block) for block in blocks])
-    w = np.zeros((len(blocks), xa.shape[1]))
     if exact:
+        xa = _augmented(data.x, spec.fit_bias)
+        w = np.zeros((len(blocks), xa.shape[1]))
         edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(blocks)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             idx = np.stack(blocks[lo:hi])
@@ -250,34 +296,39 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
             raise ShapeError("weights contain non-finite values")  # as Hypothesis would
         return w
 
-    _check_sgd(spec, xa, int(sizes.sum()))
+    table = _step_rows(spec, data)
+    _check_sgd(spec, table, int(sizes.sum()))
+    labels = data.y[:, None] if spec.loss == "squared" else None
+    w = np.zeros((len(blocks), table.shape[1]))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     lr0 = spec.learning_rate0
-    decay = lr0 * spec.reg_lambda / sizes
+    decay = lr0 * spec.reg_lambda / sizes[:, None]
     reg_step = np.repeat((spec.reg_lambda / sizes)[:, None], w.shape[1], axis=1)
-    steps = np.arange(sizes[0], dtype=np.float64)[:, None]
+    steps = np.arange(sizes[0], dtype=np.float64)[:, None, None]
     # live[s]: how many partitions, a prefix, still run at step s of an epoch
-    live = (sizes > steps).sum(axis=1).tolist()
-    # rows[s, k] and etas[s, k]: row of xa that partition k visits at step s
-    # of the current epoch, and its step size; entries past a partition's
-    # own size are never used.
-    rows = np.zeros((sizes[0], len(blocks)), dtype=np.intp)
-    etas = np.empty(rows.shape)
+    live = (sizes > steps[:, 0]).sum(axis=1).tolist()
+    # ids[s, k] and etas[s, k, 0]: row of the table that partition k visits
+    # at step s of the current epoch, and its step size; entries past a
+    # partition's own size are never used.
+    ids = np.zeros((sizes[0], len(blocks)), dtype=np.intp)
+    etas = np.empty((*ids.shape, 1))
     for epoch in range(spec.epochs):
         for k, rng in enumerate(rngs):
-            rows[: sizes[k], k] = blocks[k].take(rng.permutation(sizes[k]))
+            ids[: sizes[k], k] = rng.permutation(blocks[k])
         # lr0 / (1 + decay * t) at each step count t = epoch * size + s, a
         # whole number below 2^53 (MAX_SGD_STEPS), so the float add is exact
-        np.add(steps, epoch * sizes, out=etas)
+        np.add(steps, epoch * sizes[:, None], out=etas)
         etas *= decay
         etas += 1.0
         np.divide(lr0, etas, out=etas)
         for s, m in enumerate(live):
-            idx = rows[s, :m]
-            xt = xa.take(idx, axis=0)
+            idx = ids[s, :m]
+            rt = table.take(idx, axis=0)
             wm = w[:m]
-            g = loss_derivatives(spec.loss, (xt * wm).sum(axis=1), data.y.take(idx))
-            wm -= etas[s, :m, None] * (g[:, None] * xt + reg_step[:m] * wm)
+            margins = np.add.reduce(rt * wm, axis=1, keepdims=True)
+            y = None if labels is None else labels.take(idx, axis=0)
+            c = _step_factor(spec.loss, margins, y)
+            wm -= etas[s, :m] * (c * rt + reg_step[:m] * wm)
     diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:
         raise _diverged(spec, f" on partition {diverged[0]}")

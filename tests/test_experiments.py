@@ -277,7 +277,7 @@ class TestSharedPartitionTraining:
             cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min)
             for name in ("radon", "avg"):
                 hyp, _ = fit(name, config.learner, train_split, cfg)
-                expected = experiments._evaluate(hyp, data, plan.test_indices(fold))
+                expected = experiments._evaluate(hyp, data.subset(plan.test_indices(fold)))
                 row = report["algorithms"][name]["per_fold"][fold]
                 assert row["metric"] == expected
             radon_row = report["algorithms"]["radon"]["per_fold"][fold]
@@ -301,6 +301,35 @@ class TestSharedPartitionTraining:
             run_benchmark(replace(config, algorithms=("base", "avg")))
         resolved = run_benchmark(replace(config, h="max"))
         assert resolved["heights_per_fold"] == [1, 1]
+
+
+class TestFoldRowsCarryTheTrace:
+    KEYS = ("hypotheses_per_level", "pin_fallbacks", "max_cert_residual")
+
+    def test_radon_rows_equal_the_per_group_fold(self, tmp_path):
+        out = tmp_path / "report.json"
+        config = ExperimentConfig(**{**SMALL_BENCH, "learner": LearnerSpec(loss="hinge", epochs=2),
+                                     "out": str(out)})
+        report = run_benchmark(config)
+        data = experiments.resolve_dataset(config.dataset, config.seed)
+        plan = kfold(data, config.cv_folds, config.seed)
+        fold, r = 1, report["radon_number"]
+        h = report["heights_per_fold"][fold]
+        train_split = data.subset(plan.train_indices(fold))
+        weights, _ = aggregation.train_on_partitions(config.learner, train_split, r**h, config.seed)
+        cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min)
+        _, trace = aggregation._aggregate_levels(weights, cfg)
+        row = report["algorithms"]["radon"]["per_fold"][fold]
+        assert trace.hypotheses_per_level == [25, 5, 1]
+        assert [row[key] for key in self.KEYS] == [
+            trace.hypotheses_per_level, trace.pin_fallbacks, trace.max_cert_residual
+        ]
+        written = json.loads(out.read_text())["algorithms"]
+        assert [written["radon"]["per_fold"][fold][key] for key in self.KEYS] == [
+            row[key] for key in self.KEYS
+        ]
+        for name in ("base", "avg"):  # neither folds through Radon points
+            assert not set(self.KEYS) & set(written[name]["per_fold"][fold])
 
 
 class TestOneTrainingPath:

@@ -344,3 +344,105 @@ class TestSgdStepCap:
                 radon_machine(LearnerSpec(epochs=6), data, cfg)
         squared = LearnerSpec(loss="squared", epochs=6)  # an exact solve takes no step
         assert train(squared, Dataset(x=data.x, y=data.y, task="regression"), 0).dim == 2
+
+
+def _frozen_rows(spec, data):
+    """[x, 1], or x without a bias, as the loops below were written."""
+    if not spec.fit_bias:
+        return data.x
+    return np.hstack([data.x, np.ones((data.n_rows, 1))])
+
+
+def _frozen_train(spec, data, seed):
+    """train()'s SGD loop as once written: unsigned rows, and the step's
+    derivative from loss_derivatives."""
+    xa = _frozen_rows(spec, data)
+    n, p = xa.shape
+    rng = np.random.default_rng(seed)
+    w = np.zeros(p)
+    lr0 = spec.learning_rate0
+    decay = lr0 * spec.reg_lambda / n
+    reg_step = spec.reg_lambda / n
+    t = 0
+    for _ in range(spec.epochs):
+        for i in rng.permutation(n):
+            xi = xa[i]
+            g = loss_derivatives(spec.loss, (xi * w).sum(), data.y[i])
+            eta = lr0 / (1.0 + decay * t)
+            w -= eta * (g * xi + reg_step * w)
+            t += 1
+    return w
+
+
+def _frozen_block(spec, data, blocks, seeds):
+    """_train_block's lock-step SGD as once written: each pass gathers
+    unsigned rows and their labels and calls loss_derivatives."""
+    xa = _frozen_rows(spec, data)
+    sizes = np.array([len(block) for block in blocks])
+    w = np.zeros((len(blocks), xa.shape[1]))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    lr0 = spec.learning_rate0
+    decay = lr0 * spec.reg_lambda / sizes
+    reg_step = np.repeat((spec.reg_lambda / sizes)[:, None], w.shape[1], axis=1)
+    steps = np.arange(sizes[0], dtype=np.float64)[:, None]
+    live = (sizes > steps).sum(axis=1).tolist()
+    rows = np.zeros((sizes[0], len(blocks)), dtype=np.intp)
+    etas = np.empty(rows.shape)
+    for epoch in range(spec.epochs):
+        for k, rng in enumerate(rngs):
+            rows[: sizes[k], k] = blocks[k].take(rng.permutation(sizes[k]))
+        np.add(steps, epoch * sizes, out=etas)
+        etas *= decay
+        etas += 1.0
+        np.divide(lr0, etas, out=etas)
+        for s, m in enumerate(live):
+            idx = rows[s, :m]
+            xt = xa.take(idx, axis=0)
+            wm = w[:m]
+            g = loss_derivatives(spec.loss, (xt * wm).sum(axis=1), data.y.take(idx))
+            wm -= etas[s, :m, None] * (g[:, None] * xt + reg_step[:m] * wm)
+    return w
+
+
+def _frozen_case_data(loss, cells):
+    """67 rows of 8 features: plain, with a column of zeros, with -0.0
+    cells, or scaled by 300 so that logistic margins underflow exp."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1.0, 1.0, (67, 8))
+    if cells == "zero column":
+        x[:, 3] = 0.0
+    elif cells == "negative zeros":
+        x[::4, 1] = -0.0
+        x[1::5, 6] = -0.0
+    elif cells == "rows x300":
+        x *= 300.0
+    score = x @ np.linspace(-1.0, 1.0, 8)
+    if loss == "squared":
+        return Dataset(x=x, y=score + rng.normal(0.0, 0.1, 67), task="regression")
+    return Dataset(x=x, y=np.where(score + rng.normal(0.0, 0.3, 67) >= 0, 1.0, -1.0), task="binary")
+
+
+class TestSgdStepMatchesFrozenReference:
+    """train() and the lock-step kernel step on signed rows y * [x, 1] with
+    the loss's derivative in the margin; these cases hold both to the loops
+    that stepped on [x, 1] with loss_derivatives, byte for byte."""
+
+    @pytest.mark.parametrize("cells", ["plain", "zero column", "negative zeros", "rows x300"])
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge", "squared"])
+    def test_train_and_kernel_keep_the_bits(self, monkeypatch, loss, reg_lambda, fit_bias, cells):
+        monkeypatch.setattr(learners, "EXACT_SOLVE_MAX_DIM", 0)  # squared loss takes SGD too
+        data = _frozen_case_data(loss, cells)
+        # a squared-loss step is stable while eta * |x|^2 stays below 2
+        rate = 0.05 / (300.0 if cells == "rows x300" else 1.0) ** 2 if loss == "squared" else 0.1
+        spec = LearnerSpec(loss=loss, reg_lambda=reg_lambda, epochs=2, learning_rate0=rate,
+                           fit_bias=fit_bias)
+        blocks, seeds = _partitioned(data, 7, 11)
+        assert len({len(block) for block in blocks}) == 2  # uneven: 4 of 10 rows, 3 of 9
+        for block, seed in zip(blocks, seeds):
+            subset = data.subset(block)
+            weights = train(spec, subset, seed).weights
+            assert weights.tobytes() == _frozen_train(spec, subset, seed).tobytes()
+        kernel = learners._train_block(spec, data, blocks, seeds)
+        assert kernel.tobytes() == _frozen_block(spec, data, blocks, seeds).tobytes()

@@ -15,12 +15,13 @@ output, then an ``all`` line digesting the lines above it:
   drops the timing fields) after the ``config`` echo is removed, since the
   config's fields may differ between trees while its values do not;
 - ``radon_machine``: the root weights of ``radon_machine`` on a small
-  synthetic matrix with logistic and hinge loss, bias on and off, with one
-  worker and with two, trained for 3 epochs so that each partition's step
-  count carries across epoch starts into its decaying step size.  Its SGD
-  trains the partitions one train() call at a time with one worker and in
-  the lock-step kernel with two, so the two lines of a learner show that
-  both paths give the same bits;
+  synthetic matrix with logistic and hinge loss, at the default reg_lambda
+  and at 0 (where a step's regulariser term reg_lambda * w is a signed
+  zero), bias on and off, with one worker and with two, trained for 3
+  epochs so that each partition's step count carries across epoch starts
+  into its decaying step size.  Its SGD trains the partitions one train()
+  call at a time with one worker and in the lock-step kernel with two, so
+  the two lines of a learner show that both paths give the same bits;
 - ``radon_machine trace``: the ``repr`` of the non-timing trace fields
   (``hypotheses_per_level``, ``pin_fallbacks``, ``max_cert_residual`` and
   ``n_subset``) of each of those fits.  One worker folds one radon_point
@@ -59,10 +60,12 @@ SEEDS = (1, 2, 3)
 WORKERS = (1, 2)
 
 
-def _variants(loss: str) -> list[tuple[str, float | None]]:
+def _variants(loss: str, unregularised: bool = False) -> list[tuple[str, float | None]]:
     """(name, reg_lambda) of each run of ``loss``; None keeps the default.
-    Squared loss also runs unregularised, which solves by lstsq."""
-    return [(loss, None), *([(f"{loss} reg_lambda=0", 0.0)] if loss == "squared" else [])]
+    Squared loss, which then solves by lstsq, and any loss with
+    ``unregularised`` also run at reg_lambda 0."""
+    zero = unregularised or loss == "squared"
+    return [(loss, None), *([(f"{loss} reg_lambda=0", 0.0)] if zero else [])]
 
 
 def _sha256(blob: bytes) -> str:
@@ -111,17 +114,21 @@ def radon_machine_digests(rm, losses=LOSSES[:2], workers=WORKERS) -> dict[str, s
     data, _ = rm.synth_classification(1500, 3, 0.1, seed=5)
     digests = {}
     for loss in losses:
-        for fit_bias in (True, False):
-            spec = rm.LearnerSpec(loss=loss, epochs=3, fit_bias=fit_bias)
-            r = rm.radon_number(spec.hypothesis_dim(data.dim))
-            for count in workers:
-                cfg = rm.RadonConfig(r=r, h=2, seed=5, n_min=20, workers=count)
-                root, trace = rm.radon_machine(spec, data, cfg)
-                name = f"{loss} bias={fit_bias} workers={count}"
-                digests[f"radon_machine {name}"] = _sha256(root.weights.tobytes())
-                fields = (trace.hypotheses_per_level, trace.pin_fallbacks,
-                          trace.max_cert_residual, trace.n_subset)
-                digests[f"radon_machine trace {name}"] = _sha256(repr(fields).encode())
+        for variant, reg_lambda in _variants(loss, unregularised=True):
+            learner = {"loss": loss, "epochs": 3}
+            if reg_lambda is not None:
+                learner["reg_lambda"] = reg_lambda
+            for fit_bias in (True, False):
+                spec = rm.LearnerSpec(**learner, fit_bias=fit_bias)
+                r = rm.radon_number(spec.hypothesis_dim(data.dim))
+                for count in workers:
+                    cfg = rm.RadonConfig(r=r, h=2, seed=5, n_min=20, workers=count)
+                    root, trace = rm.radon_machine(spec, data, cfg)
+                    name = f"{variant} bias={fit_bias} workers={count}"
+                    digests[f"radon_machine {name}"] = _sha256(root.weights.tobytes())
+                    fields = (trace.hypotheses_per_level, trace.pin_fallbacks,
+                              trace.max_cert_residual, trace.n_subset)
+                    digests[f"radon_machine trace {name}"] = _sha256(repr(fields).encode())
     return digests
 
 
