@@ -14,15 +14,16 @@ block kernel (learners._train_block), which gives the same bits as one
 train() call per partition.  The kernel makes one Python pass per SGD step
 however many partitions it trains, so a process pool would only add fork
 and pickling cost; the package starts no process, and ``workers`` is
-checked but changes no result.  A tree folds with one stacked call of
-radon_points' kernel per level (``_fold_tree``), whose certificate check
-gives each level's pin fallbacks and worst residual.  Only
-``radon_machine`` at one worker with SGD takes the reference paths, with
-the same bits and trace: one train() call per partition (``_train_each``)
-and one radon_point call per group (``_aggregate_levels``); the benchmark
-self-test counts the spans of both.  Partitions are read-only
-np.array_split views of one permutation, cached per (rows, parts, seed), so
-a CV fold draws them once to train and to checksum.
+checked but changes no result.  Every tree, a fit's or a Monte-Carlo
+shard's, folds through one level loop (``_levels``): one stacked call of
+radon_points' kernel per level for a stack of whole trees, whose
+certificate check gives each level's pin fallbacks and worst residual.
+Only ``radon_machine`` at one worker with SGD takes the reference paths,
+with the same bits and trace: one train() call per partition
+(``_train_each``) and one radon_point call per group (``_point_by_point``);
+the benchmark self-test counts the spans of both.  Partitions are
+read-only np.array_split views of one permutation, cached per (rows,
+parts, seed), so a CV fold draws them once to train and to checksum.
 """
 
 from __future__ import annotations
@@ -161,50 +162,42 @@ def _train_each(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) -> 
     return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
 
 
-def _radon_level(points: np.ndarray, r: int) -> np.ndarray:
-    """One aggregation round: replace each contiguous group of r rows along
-    axis -2 by its Radon point.  Leading axes index independent trees."""
-    *trees, rows, dim = points.shape
-    point = _radon_stack(points.reshape(-1, r, dim))[3]
-    return point.reshape(*trees, rows // r, dim)
+def _levels(points: np.ndarray, r: int, h: int, stack=_radon_stack):
+    """Fold a (trees * r^h, p) stack through h levels of Radon points, one
+    ``stack`` call per level, and yield each level's points, pin-fallback
+    count and worst certificate residual.  Each group is r contiguous rows,
+    so no group straddles two trees and one call folds them all."""
+    for _ in range(h):
+        _, pins, _, points, worst = stack(points.reshape(-1, r, points.shape[1]))
+        yield points, int(np.count_nonzero(pins)), float(worst.max())
 
 
-def _fold_tree(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
-    """Fold cfg.h levels of Radon points over the hypothesis matrix, one
-    stacked _radon_stack call per level.
+def _fold_tree(points, cfg: RadonConfig, stack=_radon_stack) -> tuple[np.ndarray, AggregationTrace]:
+    """Fold cfg.h levels of Radon points over the hypothesis matrix (_levels).
 
     Returns the (1, dim) root and a trace of the tree: the hypothesis count,
     pin fallbacks and worst certificate residual of every level, the last
     two read off the kernel's own certificate check.
     """
     trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
-    for _ in range(cfg.h):
-        _, pins, _, points, worst = _radon_stack(points.reshape(-1, cfg.r, points.shape[1]))
+    for points, pins, worst in _levels(points, cfg.r, cfg.h, stack):
         trace.hypotheses_per_level.append(points.shape[0])
-        trace.pin_fallbacks.append(int(np.count_nonzero(pins)))
-        trace.max_cert_residual.append(float(worst.max()))
+        trace.pin_fallbacks.append(pins)
+        trace.max_cert_residual.append(worst)
     return points, trace
 
 
-def _aggregate_levels(points: np.ndarray, cfg: RadonConfig) -> tuple[np.ndarray, AggregationTrace]:
-    """_fold_tree's root and trace, with the same bits, from one radon_point
-    call per group; the level's residuals come from one stacked check of
-    all its certificates, equal bit for bit to a certify() call per group.
-    Only radon_machine's reference path folds this way: the benchmark
-    self-test counts its radon_point spans (ROADMAP item 1).
-    """
-    trace = AggregationTrace(hypotheses_per_level=[points.shape[0]])
-    for _ in range(cfg.h):
-        groups = points.reshape(-1, cfg.r, points.shape[1])
-        certs = [radon_point(group) for group in groups]
-        lams = np.array([cert.lam for cert in certs])
-        lambda_sums = np.array([cert.lambda_sum for cert in certs])
-        points = np.array([cert.point for cert in certs])
-        trace.hypotheses_per_level.append(len(certs))
-        trace.pin_fallbacks.append(sum(cert.pin != 0 for cert in certs))
-        residuals = _violations(groups.transpose(1, 2, 0), lams, lams >= 0.0, lambda_sums, points)
-        trace.max_cert_residual.append(float(residuals.max()))
-    return points, trace
+def _point_by_point(groups: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_radon_stack's tuple and bits from one radon_point call per group, the
+    residuals from one stacked check (certify()'s bits).  The reference path
+    folds this way, because its radon_point spans are counted by
+    perfbench/test_perfbench.py::test_traced_fit_spans_account_for_wall_time_and_certify_points."""
+    certs = [radon_point(group) for group in groups]
+    lam = np.array([cert.lam for cert in certs])
+    lambda_sum = np.array([cert.lambda_sum for cert in certs])
+    point = np.array([cert.point for cert in certs])
+    worst = _violations(groups.transpose(1, 2, 0), lam, lam >= 0.0, lambda_sum, point)
+    return lam, np.array([cert.pin for cert in certs]), lambda_sum, point, worst
 
 
 def _check_tree(spec: LearnerSpec, data: Dataset, cfg: RadonConfig) -> None:
@@ -231,8 +224,9 @@ def radon_machine(
     """Train r^h partition models and fold them through h rounds of Radon
     points: ``radon`` of the pipeline (_fit_all).  SGD at one worker takes
     the reference paths, one train() call per partition and one
-    radon_point call per group, which the benchmark self-test traces
-    (ROADMAP item 1).
+    radon_point call per group, whose spans
+    perfbench/test_perfbench.py::test_traced_fit_spans_account_for_wall_time_and_certify_points
+    counts.
 
     Requires cfg.r == hypothesis dimension + 2 and enough rows for every
     partition to hold at least cfg.n_min examples (see _check_tree).  With
@@ -257,8 +251,8 @@ def _fit_all(
     partitioning and learning times: ``radon`` folds them through
     _fold_tree, ``avg`` takes their mean.  Those that do not share one
     train() call on all rows with seed cfg.seed and its time.  With
-    ``reference``, _train_each and _aggregate_levels stand in for the
-    block kernel and _fold_tree, with the same bits and trace.
+    ``reference``, _train_each and _point_by_point stand in for the block
+    kernel and _radon_stack, with the same bits and trace.
     """
     for name in names:
         if name not in ALGORITHMS:
@@ -267,7 +261,9 @@ def _fit_all(
         _check_tree(spec, data, cfg)
     if any(_folds(name, cfg.h) for name in names):  # only a checked tree builds r^h
         parts = cfg.r**cfg.h
-        kernel = _train_each if reference else _train_block
+        kernel, stack = _train_block, _radon_stack
+        if reference:
+            kernel, stack = _train_each, _point_by_point
         weights, times = _timed_training(kernel, spec, data, parts, cfg.seed)
     fits = {}
     whole = None  # base, and radon at h = 0: the same train() on all rows
@@ -281,7 +277,7 @@ def _fit_all(
             fits[name] = whole
             continue
         if name == "radon":
-            roots, trace = (_aggregate_levels if reference else _fold_tree)(weights, cfg)
+            roots, trace = _fold_tree(weights, cfg, stack)
         else:
             roots, trace = weights.mean(axis=0)[None], AggregationTrace([parts, 1])
         trace.n_subset = data.n_rows // parts

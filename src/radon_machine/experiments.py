@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import (
-    ALGORITHMS, AggregationTrace, RadonConfig, _fit_all, _folds, _radon_level, max_height,
+    ALGORITHMS, AggregationTrace, RadonConfig, _fit_all, _folds, _levels, max_height,
     partition_indices,
 )
 from .bounds import BoundReport, ComplexityParams, _pow, efficiency_report
@@ -382,8 +382,10 @@ def fit(
 
 def _mc_shard(
     r: int, h: int, delta_base: float, n_trials: int, seed: int, shard_idx: int
-) -> np.ndarray:
-    """Simulate one shard of aggregation trees; returns bad counts per level.
+) -> list[tuple[int, int, float]]:
+    """Simulate one shard of aggregation trees, all folded by one _levels
+    loop; returns each level's bad count, pin fallbacks and worst
+    certificate residual (0 and 0.0 at level 0, which folds nothing).
 
     Hypotheses live in (r - 2)-dimensional space so the space's Radon number
     is exactly r.  Distances are in units of the quality radius: good draws
@@ -404,13 +406,10 @@ def _mc_shard(
     radii = np.where(bad, 2.0, rng.random(m) ** (1.0 / d))
     points = directions * radii[:, None]
 
-    counts = np.zeros(h + 1, dtype=np.int64)
-    counts[0] = int(bad.sum())
-    current = points.reshape(n_trials, leaves, d)
-    for level in range(1, h + 1):
-        current = _radon_level(current, r)
-        counts[level] = int((np.linalg.norm(current.reshape(-1, d), axis=1) > 1.0).sum())
-    return counts
+    stats = [(int(bad.sum()), 0, 0.0)]
+    for folded, pins, worst in _levels(points, r, h):
+        stats.append((int((np.linalg.norm(folded, axis=1) > 1.0).sum()), pins, worst))
+    return stats
 
 
 def mc_confidence(
@@ -423,7 +422,9 @@ def mc_confidence(
     radius next to the theoretical bound.  Radon points are
     affine-equivariant, so that fraction does not depend on the radius,
     and the draws take it as their unit.  Trials are simulated in-process
-    in fixed-size shards, each from its own seed, and merged by summation;
+    in fixed-size shards, each from its own seed, and merged by summation.
+    Each row above level 0 also holds the level's pin fallbacks, summed
+    over the shards, and its worst certificate residual, their maximum.
     ``workers`` must be >= 1 but changes neither the path nor the result.
     """
     require(r >= 3, "r", "be >= 3 (a Radon number)", r)
@@ -444,22 +445,23 @@ def mc_confidence(
             f"of {MC_MAX_SHARD_FLOATS} at trials={trials}, r={r}, h={h}"
         )
 
-    counts = np.zeros(h + 1, dtype=np.int64)
-    for idx, start in enumerate(range(0, trials, MC_SHARD_TRIALS)):
-        size = min(MC_SHARD_TRIALS, trials - start)
-        counts += _mc_shard(r, h, delta_base, size, seed, idx)
-
+    shards = [
+        _mc_shard(r, h, delta_base, min(MC_SHARD_TRIALS, trials - start), seed, idx)
+        for idx, start in enumerate(range(0, trials, MC_SHARD_TRIALS))
+    ]
     rows = []
-    for level in range(h + 1):
+    for level, stats in enumerate(zip(*shards)):
+        bad, pins, worst = zip(*stats)
         samples = trials * r ** (h - level)
-        rows.append(
-            {
-                "level": level,
-                "empirical_bad_fraction": float(counts[level]) / samples,
-                "theoretical_bound": _pow(r * delta_base, 2**level),
-                "samples": samples,
-            }
-        )
+        row = {
+            "level": level,
+            "empirical_bad_fraction": float(sum(bad)) / samples,
+            "theoretical_bound": _pow(r * delta_base, 2**level),
+            "samples": samples,
+        }
+        if level:
+            row.update(pin_fallbacks=sum(pins), max_cert_residual=max(worst))
+        rows.append(row)
     return {
         "r": r,
         "h": h,

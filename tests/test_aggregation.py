@@ -1,5 +1,6 @@
 """Partitioning, the aggregation tree, and the averaging baseline."""
 
+import ast
 import multiprocessing.process
 import os
 import subprocess
@@ -34,7 +35,7 @@ from radon_machine import (
     train_on_partitions,
     training_seeds,
 )
-from radon_machine.aggregation import _aggregate_levels, _fold_tree, _radon_level
+from radon_machine.aggregation import _fold_tree, _levels, _point_by_point
 from radon_machine.learners import EXACT_SOLVE_MAX_DIM, _solve_normal_equations, _train_block
 
 RIDGE = LearnerSpec(loss="squared", reg_lambda=0.01, fit_bias=False)
@@ -389,13 +390,14 @@ class TestRadonLevel:
         # the (trials, r^h, d) shape of a Monte-Carlo shard
         r, h, trials = 4, 2, 6
         stack = np.random.default_rng(21).standard_normal((trials, r**h, r - 2))
-        level = _radon_level(stack, r)
+        level, root = (points for points, _, _ in _levels(stack.reshape(-1, r - 2), r, h))
+        level = level.reshape(trials, r ** (h - 1), r - 2)
+        root = root.reshape(trials, 1, r - 2)
         assert level.shape == (trials, r ** (h - 1), r - 2)
         for t in range(trials):
             for g in range(r ** (h - 1)):
                 expected = radon_point(stack[t, g * r : (g + 1) * r]).point
                 assert np.array_equal(level[t, g], expected)
-        root = _radon_level(level, r)
         assert root.shape == (trials, 1, r - 2)
         for t in range(trials):
             assert np.array_equal(root[t, 0], radon_point(level[t]).point)
@@ -408,12 +410,12 @@ class TestAggregationTrace:
         rng = np.random.default_rng(31)
         forced = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         points = np.concatenate([forced, rng.standard_normal((12, 2))])
-        root, trace = _aggregate_levels(points, RadonConfig(r=4, h=2, seed=0))
+        root, trace = _fold_tree(points, RadonConfig(r=4, h=2, seed=0), _point_by_point)
         assert trace.hypotheses_per_level == [16, 4, 1]
         assert trace.pin_fallbacks == [1, 0]
         assert len(trace.max_cert_residual) == 2
         assert all(0.0 <= res <= 1e-12 for res in trace.max_cert_residual)
-        assert np.array_equal(root[0], radon_point(_radon_level(points, 4)).point)
+        assert np.array_equal(root[0], radon_point(next(_levels(points, 4, 1))[0]).point)
 
     def test_radon_machine_reports_one_entry_per_level(self):
         data, _ = synth_classification(2500, 2, 0.1, seed=12)
@@ -572,7 +574,8 @@ def _tree_points(r: int, h: int, seed: int, fallback: bool) -> np.ndarray:
 
 
 def _reference_levels(points: np.ndarray, cfg: RadonConfig):
-    """_aggregate_levels with one radon_point and one certify() per group."""
+    """The root, and each level's worst residual and pin fallbacks, from one
+    radon_point and one certify() call per group."""
     residuals, fallbacks = [], []
     for _ in range(cfg.h):
         groups = points.reshape(-1, cfg.r, points.shape[1])
@@ -590,7 +593,7 @@ class TestLevelCertificates:
         seed = 31 + r
         points = _tree_points(r, h, seed, fallback)
         cfg = RadonConfig(r=r, h=h, seed=seed)
-        root, trace = _aggregate_levels(points, cfg)
+        root, trace = _fold_tree(points, cfg, _point_by_point)
         expected_root, residuals, fallbacks = _reference_levels(points, cfg)
         assert root.tobytes() == expected_root.tobytes()
         assert trace.max_cert_residual == residuals
@@ -607,7 +610,7 @@ class TestLevelCertificates:
         points = _tree_points(r, h, seed, fallback)
         cfg = RadonConfig(r=r, h=h, seed=seed)
         root, trace = _fold_tree(points, cfg)
-        expected_root, expected_trace = _aggregate_levels(points, cfg)
+        expected_root, expected_trace = _fold_tree(points, cfg, _point_by_point)
         assert root.tobytes() == expected_root.tobytes()
         assert trace == expected_trace
         assert trace.hypotheses_per_level == [r**level for level in range(h, -1, -1)]
@@ -622,3 +625,66 @@ class TestLevelCertificates:
         data, _ = synth_classification(2000, 2, 0.1, seed=3)
         _, trace = radon_machine(RIDGE, data, RadonConfig(r=4, h=2, seed=5))
         assert len(trace.max_cert_residual) == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "radon_machine"
+TRACE_LISTS = {"hypotheses_per_level", "pin_fallbacks", "max_cert_residual"}
+
+
+def _fold_sites(node: ast.AST, module: str, site="<module>", stacks=("_radon_stack",)) -> list:
+    """(module.function, kind) of each call under ``node`` that reaches
+    _radon_stack (kind "stack": by name, or through a parameter defaulting to
+    it) or appends to a per-level list of AggregationTrace (kind "append")."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        site = node.name
+        args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        defaults = [*node.args.defaults, *node.args.kw_defaults]
+        stacks = {"_radon_stack"} | {
+            arg.arg for arg, default in zip(args[len(args) - len(defaults):], defaults)
+            if isinstance(default, ast.Name) and default.id == "_radon_stack"
+        }
+    found = []
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) in stacks:
+            found.append((f"{module}.{site}", "stack"))
+        if getattr(func, "attr", None) == "append" and getattr(func.value, "attr", None) in TRACE_LISTS:
+            found.append((f"{module}.{site}", "append"))
+    for child in ast.iter_child_nodes(node):
+        found += _fold_sites(child, module, site, stacks)
+    return found
+
+
+class TestOneLevelLoop:
+    """Every tree folds through _levels, the only loop over Radon levels."""
+
+    def test_only_the_level_loop_and_radon_point_call_the_kernel(self):
+        sites = [
+            found
+            for path in sorted(SRC.glob("*.py"))
+            for found in _fold_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        ]
+        assert sorted(site for site, kind in sites if kind == "stack") == [
+            "aggregation._levels", "radon_points.radon_point"
+        ]
+        assert [site for site, kind in sites if kind == "append"] == ["aggregation._fold_tree"] * 3
+
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (4, 3), (6, 1), (6, 2)])
+    def test_a_stack_of_trees_folds_as_each_tree_alone(self, r, h):
+        fallbacks = (True, False, False, True)
+        trees = [_tree_points(r, h, 40 + t, fallback) for t, fallback in enumerate(fallbacks)]
+        cfg = RadonConfig(r=r, h=h, seed=0)
+        alone = [_fold_tree(tree, cfg) for tree in trees]
+        levels = list(_levels(np.concatenate(trees), r, h))
+        assert len(levels) == h
+        for level, (points, pins, worst) in enumerate(levels):
+            assert points.shape == (len(trees) * r ** (h - level - 1), r - 2)
+            assert pins == sum(trace.pin_fallbacks[level] for _, trace in alone)
+            assert worst == max(trace.max_cert_residual[level] for _, trace in alone)
+        assert levels[0][1] > 0
+        roots = np.concatenate([root for root, _ in alone])
+        assert levels[-1][0].tobytes() == roots.tobytes()
+        for t, tree in enumerate(trees):  # every level's points too, tree by tree
+            for (stacked, _, _), (points, _, _) in zip(levels, _levels(tree, r, h)):
+                rows = points.shape[0]
+                assert stacked[t * rows : (t + 1) * rows].tobytes() == points.tobytes()

@@ -19,9 +19,11 @@ from radon_machine import (
     RadonConfig,
     averaging_at_end,
     bounds_table,
+    certify,
     fit,
     mc_confidence,
     radon_machine,
+    radon_point,
     run_benchmark,
     synth_classification,
     synth_regression,
@@ -29,6 +31,7 @@ from radon_machine import (
 )
 from radon_machine import aggregation, experiments, kfold, learners
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
+from radon_machine.radon_points import _radon_stack
 
 SMALL_BENCH = dict(
     dataset={"source": "synthetic-classification", "n": 3000, "d": 2, "noise": 0.1},
@@ -235,6 +238,86 @@ class TestMcConfidence:
         assert [row["samples"] for row in result["rows"]] == [16000, 4000, 1000]
 
 
+def _frozen_radon_level(points: np.ndarray, r: int) -> np.ndarray:
+    """One level as mc-bound folded it before the one level loop: each
+    contiguous group of r rows along axis -2 replaced by its Radon point;
+    leading axes index independent trees."""
+    *trees, rows, dim = points.shape
+    point = _radon_stack(points.reshape(-1, r, dim))[3]
+    return point.reshape(*trees, rows // r, dim)
+
+
+def _frozen_mc_fold(r: int, h: int, delta_base: float, trials: int, seed: int):
+    """mc_confidence's per-level bad counts from its draws, shard by shard,
+    each shard's (trials, r^h, r - 2) trees folded by _frozen_radon_level,
+    and the (trees * rows, r - 2) points of each shard's levels in order."""
+    d, leaves = r - 2, r**h
+    counts, folded = np.zeros(h + 1, dtype=np.int64), []
+    for idx, start in enumerate(range(0, trials, experiments.MC_SHARD_TRIALS)):
+        n_trials = min(experiments.MC_SHARD_TRIALS, trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+        m = n_trials * leaves
+        bad = rng.random(m) < delta_base
+        directions = rng.standard_normal((m, d))
+        norms = np.linalg.norm(directions, axis=1)
+        norms[norms == 0.0] = 1.0
+        directions /= norms[:, None]
+        radii = np.where(bad, 2.0, rng.random(m) ** (1.0 / d))
+        current = (directions * radii[:, None]).reshape(n_trials, leaves, d)
+        counts[0] += int(bad.sum())
+        for level in range(1, h + 1):
+            current = _frozen_radon_level(current, r)
+            folded.append(current.reshape(-1, d))
+            counts[level] += int((np.linalg.norm(folded[-1], axis=1) > 1.0).sum())
+    return counts, folded
+
+
+class TestMcFoldsThroughTheLevelLoop:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("r, h", [(4, 2), (5, 2), (3, 4), (6, 1)])
+    def test_bad_counts_equal_the_frozen_level_loop(self, monkeypatch, r, h, seed):
+        # the folded points too, bit for bit and in order: a mirrored tree
+        # gives the same counts
+        folded = []
+
+        def recording_levels(points, r, h):
+            for level in aggregation._levels(points, r, h):
+                folded.append(level[0])
+                yield level
+
+        monkeypatch.setattr(experiments, "_levels", recording_levels)
+        rows = mc_confidence(r, h, 0.5 / r, 1000, seed)["rows"]
+        counts, expected = _frozen_mc_fold(r, h, 0.5 / r, 1000, seed)
+        assert [row["empirical_bad_fraction"] for row in rows] == [
+            float(count) / row["samples"] for count, row in zip(counts, rows)
+        ]
+        assert [points.tobytes() for points in folded] == [points.tobytes() for points in expected]
+
+    def test_trace_keys_equal_a_certify_loop_over_the_draws(self, monkeypatch):
+        # r = 3 draws in one dimension, where bad draws coincide at +-2, so
+        # level 1 has pin fallbacks; one _levels call per shard
+        shards = []
+
+        def recording_levels(points, r, h):
+            shards.append(points)
+            return aggregation._levels(points, r, h)
+
+        monkeypatch.setattr(experiments, "_levels", recording_levels)
+        rows = mc_confidence(r=3, h=2, delta_base=0.1, trials=1000, seed=2)["rows"]
+        assert len(shards) == 2
+        pins, worst = [0, 0], [0.0, 0.0]
+        for points in shards:
+            for level in range(2):
+                groups = points.reshape(-1, 3, 1)
+                certs = [radon_point(group) for group in groups]
+                pins[level] += sum(cert.pin != 0 for cert in certs)
+                worst[level] = max(worst[level], *map(certify, groups, certs))
+                points = np.array([cert.point for cert in certs])
+        assert pins[0] > 0
+        assert [row.get("pin_fallbacks") for row in rows] == [None, *pins]
+        assert [row.get("max_cert_residual") for row in rows] == [None, *worst]
+
+
 class TestBoundsTable:
     PARAMS = ComplexityParams(alpha_eps=0.0, beta_eps=1.0, k=1, kappa=1)
 
@@ -318,7 +401,7 @@ class TestFoldRowsCarryTheTrace:
         train_split = data.subset(plan.train_indices(fold))
         weights, _ = aggregation.train_on_partitions(config.learner, train_split, r**h, config.seed)
         cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min)
-        _, trace = aggregation._aggregate_levels(weights, cfg)
+        _, trace = aggregation._fold_tree(weights, cfg, aggregation._point_by_point)
         row = report["algorithms"]["radon"]["per_fold"][fold]
         assert trace.hypotheses_per_level == [25, 5, 1]
         assert [row[key] for key in self.KEYS] == [
