@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
+from .bounds import ComplexityParams
 from .datasets import FORMATS, TASKS
 from .errors import ConfigError, DataError, require, require_number
 from .experiments import (
@@ -25,7 +26,7 @@ from .experiments import (
     BOUNDS_KEYS,
     MC_CSV_COLUMNS,
     ExperimentConfig,
-    _complexity_params,
+    _in_section,
     bounds_table,
     config_section,
     fit,
@@ -35,6 +36,7 @@ from .experiments import (
     run_benchmark,
     write_csv,
     write_json,
+    write_report,
 )
 from .learners import Hypothesis, LearnerSpec, predict_score
 from .radon_points import radon_number
@@ -241,8 +243,7 @@ def _cmd_mc_bound(args) -> int:
             f"{row['theoretical_bound']:.6g}"
         )
     if args.out:
-        write_json(result, args.out)
-        write_csv(result["rows"], MC_CSV_COLUMNS, Path(args.out).with_suffix(".csv"))
+        write_report(result, args.out, result["rows"], MC_CSV_COLUMNS)
         print(f"report written to {args.out}")
     return 0
 
@@ -250,13 +251,10 @@ def _cmd_mc_bound(args) -> int:
 def _cmd_bounds(args) -> int:
     section = config_section(_load_config_file(args.config), "bounds", BOUNDS_TABLE_KEYS)
     pick = _picker(section, "bounds")
-    params = _complexity_params(
-        {
-            "alpha_eps": pick(args.alpha_eps, "alpha_eps", 0.0, float),
-            "beta_eps": pick(args.beta_eps, "beta_eps", 1.0, float),
-            "k": pick(args.k, "k", 1, int),
-            "kappa": pick(args.kappa, "kappa", 1, int),
-        }
+    params = _in_section(
+        "bounds", ComplexityParams,
+        pick(args.alpha_eps, "alpha_eps", 0.0, float), pick(args.beta_eps, "beta_eps", 1.0, float),
+        pick(args.k, "k", 1, int), pick(args.kappa, "kappa", 1, int),
     )
     r = pick(args.r, "r", 4, int)
     # A dimension + 2; the cap keeps the floats of r and r^3 finite.
@@ -279,9 +277,8 @@ def _cmd_bounds(args) -> int:
             f"{row['n_radon']:<13.6g} {row['m_sequential']:<13.6g} {row['speedup_estimate']:.6g}"
         )
     if args.out:
-        write_json({"params": params.__dict__ | {"r": r, "delta_base": delta_base}, "rows": rows},
-                   args.out)
-        write_csv(rows, BOUNDS_CSV_COLUMNS, Path(args.out).with_suffix(".csv"))
+        payload = {"params": params.__dict__ | {"r": r, "delta_base": delta_base}, "rows": rows}
+        write_report(payload, args.out, rows, BOUNDS_CSV_COLUMNS)
         print(f"table written to {args.out}")
     return 0
 

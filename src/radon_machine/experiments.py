@@ -74,7 +74,7 @@ MC_MAX_SHARD_FLOATS = 100_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark setup; every field has a default and maps 1:1 to JSON."""
+    """Benchmark setup; each field has a default, maps 1:1 to JSON and is checked when built."""
 
     dataset: dict = field(
         default_factory=lambda: {"source": "synthetic-classification", "n": 20000, "d": 8, "noise": 0.1}
@@ -111,8 +111,9 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string or null, got {self.out!r}")
         dataset_source(self.dataset)
-        if self.bounds:
+        if self.bounds is not None:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
+        if self.bounds:  # an empty object, like null, asks for no bounds report
             _complexity_params(self.bounds)
             if "delta_base" in self.bounds:
                 delta_base = self.bounds["delta_base"]
@@ -126,9 +127,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name in ("dataset", "learner", "bounds"):
-            if not (name == "bounds" and raw.get(name) is None):  # null: no bounds
-                config_section(raw, name)
         if "learner" in raw:
             raw["learner"] = LearnerSpec(
                 **config_section(raw, "learner", LearnerSpec.__dataclass_fields__)
@@ -145,23 +143,23 @@ class ExperimentConfig:
         return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
-def _in_bounds_section(build, *args):
-    """build(*args), where a ConfigError, whose message starts with the
-    field's name, gains the ``bounds`` section's."""
+def _in_section(name: str, build, *args):
+    """build(*args), where a ConfigError, whose message starts with a field's
+    name, gains the config section's: ``<name>.<field> ...``."""
     try:
         return build(*args)
     except ConfigError as exc:
-        raise ConfigError(f"bounds.{exc}") from None
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 def _complexity_params(bounds: dict) -> ComplexityParams:
-    """The base-learner model of a ``bounds`` section (a benchmark config's,
-    or the values the bounds subcommand picked), which requires alpha_eps
-    and beta_eps; ComplexityParams checks their ranges."""
+    """The base-learner model of a benchmark config's ``bounds`` section,
+    which requires alpha_eps and beta_eps; ComplexityParams checks their
+    ranges."""
     eps = [require_number(bounds.get(key), f"bounds.{key}") for key in ("alpha_eps", "beta_eps")]
     ints = [require_number(bounds.get(key, 1), f"bounds.{key}", integer=True)
             for key in ("k", "kappa")]
-    return _in_bounds_section(ComplexityParams, *eps, *ints)
+    return _in_section("bounds", ComplexityParams, *eps, *ints)
 
 
 def config_section(raw: dict, name: str, keys=None) -> dict:
@@ -208,11 +206,8 @@ def resolve_dataset(spec: dict, default_seed: int) -> Dataset:
     classify = source == "synthetic-classification"
     key = "noise" if classify else "noise_sd"
     noise = require_number(spec.get(key, 0.1), f"dataset.{key}")
-    try:
-        data, _ = (synth_classification if classify else synth_regression)(n, d, noise, seed)
-    except ConfigError as exc:  # the message starts with the field's name
-        raise ConfigError(f"dataset.{exc}") from None
-    return data
+    draw = synth_classification if classify else synth_regression
+    return _in_section("dataset", draw, n, d, noise, seed)[0]
 
 
 def resolve_height(h: int | str, n_rows: int, r: int, n_min: int, tree: bool = True) -> int:
@@ -309,8 +304,8 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         if config.bounds and fold == 0:  # at fold 0's height, before any fold trains
             delta_base = float(config.bounds.get("delta_base", 1.0 / (2 * r)))
             params = _complexity_params(config.bounds)
-            bounds = _in_bounds_section(
-                efficiency_report, params, r, delta_base, h, config.workers
+            bounds = _in_section(
+                "bounds", efficiency_report, params, r, delta_base, h, config.workers
             ).to_dict()
         cfg = RadonConfig(r=r, h=h, seed=config.seed, n_min=config.n_min, workers=config.workers)
         fits = _fit_all(config.algorithms, fold_spec, train_split, cfg)
@@ -356,13 +351,12 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         if radon_total > 0:
             report["speedup_base_over_radon"] = algorithms["base"]["total_s_mean"] / radon_total
     if config.out:
-        write_json(report, config.out)
         csv_rows = [
             {**row, "algorithm": name}
             for name in config.algorithms
             for row in algorithms[name]["per_fold"]
         ]
-        write_csv(csv_rows, BENCHMARK_CSV_COLUMNS, _csv_path(config.out))
+        write_report(report, config.out, csv_rows, BENCHMARK_CSV_COLUMNS)
     return report
 
 
@@ -523,5 +517,8 @@ def write_csv(rows: list[dict], columns: list[str], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _csv_path(out: str | Path) -> Path:
-    return Path(out).with_suffix(".csv")
+def write_report(payload: dict, out: str | Path, rows: list[dict], columns: list[str]) -> None:
+    """``payload`` as strict JSON at ``out`` and ``rows`` as CSV at its twin,
+    ``out`` with the suffix ``.csv``: every report's two files."""
+    write_json(payload, out)
+    write_csv(rows, columns, Path(out).with_suffix(".csv"))

@@ -372,7 +372,8 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
     BLAS syrk/gemv and LAPACK gesv calls per matrix as a single matrix, so
     each of its rows has the bits of a separate call.  ``reg_lambda == 0``
     takes lstsq and a single matrix only.  Data whose Gram matrix or X^T y
-    overflows to a non-finite value is a DataError for either solver.
+    overflows to a non-finite value is a DataError for either solver, as is a
+    singular regularised Gram matrix (dependent columns, reg_lambda too small).
     """
     xt = np.swapaxes(xa, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -384,7 +385,12 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
             "(X^T X or X^T y is not finite)"
         )
     if reg_lambda > 0.0:
-        return np.linalg.solve(gram, xty)[..., 0]
+        try:
+            return np.linalg.solve(gram, xty)[..., 0]
+        except np.linalg.LinAlgError:
+            raise DataError(f"the squared-loss normal equations are singular at learner.reg_lambda "
+                            f"{reg_lambda!r}; reg_lambda 0 solves dependent columns by least "
+                            "squares") from None
     return np.linalg.lstsq(xa, y, rcond=None)[0]
 
 

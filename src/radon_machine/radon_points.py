@@ -135,8 +135,6 @@ def _solve_allowing_free_vars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pivot_row_of_col = np.full(n, -1, dtype=np.intp)
     row = 0
     for col in range(n):
-        if row == n:
-            break
         ratios = np.abs(a[row:, col]) / row_scale[row:]
         p = row + int(np.argmax(ratios))
         if np.abs(a[p, col]) <= PIVOT_RTOL * row_scale[p]:

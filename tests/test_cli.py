@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radon_machine import (
-    LearnerSpec, averaging_at_end, cli, experiments, synth_classification, train
+    ConfigError, DataError, Dataset, LearnerSpec, averaging_at_end, cli, experiments, load_dataset,
+    synth_classification, train, train_on_partitions,
 )
 from radon_machine.cli import main
 
@@ -303,15 +306,49 @@ class TestConfigAndHeightFlags:
             ("bounds", {"bounds": 3}, "bounds"),
             ("benchmark", {"learner": [1]}, "learner"),
             ("benchmark", {"dataset": [1]}, "dataset"),
+            # the constructor checks a section built without from_dict
+            *[("ExperimentConfig", {"bounds": bounds}, "bounds") for bounds in ([], 0, "", False)],
         ],
     )
     def test_section_that_is_not_an_object_is_config_error(
         self, tmp_path, capsys, command, payload, section
     ):
+        message = f"config section '{section}' must be a JSON object"
+        if command == "ExperimentConfig":
+            kind = type(payload[section]).__name__
+            with pytest.raises(ConfigError, match=re.escape(f"{message}, got {kind}")):
+                experiments.ExperimentConfig(**payload)
+            return
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
         assert main([command, "--config", str(cfg_path)]) == 2
-        assert f"config section '{section}' must be a JSON object" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+class TestReportTwins:
+    """Every report writes its CSV next to its JSON: ``--out`` with the
+    suffix ``.csv``, whatever suffix ``--out`` has."""
+
+    @pytest.mark.parametrize(
+        "command, columns",
+        [
+            (["benchmark", "--cv-folds", "2", "--algorithms", "base"], "algorithm,fold,metric,"),
+            (["mc-bound", "--trials", "1000", "--h", "1"], "level,empirical_bad_fraction,"),
+            (["bounds", "--h-max", "2"], "h,delta,"),
+        ],
+    )
+    def test_csv_twin_of_any_out_path(self, tmp_path, capsys, monkeypatch, command, columns):
+        monkeypatch.chdir(tmp_path)
+        if command[0] == "benchmark":
+            dataset = {"source": "synthetic-classification", "n": 500, "d": 2}
+            Path("cfg.json").write_text(json.dumps({"dataset": dataset}))
+            command = [*command, "--config", "cfg.json"]
+        assert main([*command, "--out", "r.txt"]) == 0
+        assert isinstance(json.loads(Path("r.txt").read_text()), dict)
+        assert Path("r.csv").read_text().startswith(columns)
+        assert sorted(path.name for path in tmp_path.iterdir() if path.name != "cfg.json") == [
+            "r.csv", "r.txt"
+        ]
 
 
 class TestWrongTypedConfigValues:
@@ -790,44 +827,92 @@ def _write_overflowing_csv(tmp_path, rows=400):
     return path
 
 
+def _write_dependent_columns_csv(tmp_path, rows=2000):
+    """A CSV whose third feature column repeats the first, so every Gram
+    matrix of its rows is singular."""
+    path = _write_tiny_csv(tmp_path, rows=rows)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    path.write_text("".join(f"{a},{b},{a},{y}\n" for a, b, y in [("a", "b", "y"), *rows]))
+    return path
+
+
+OVERFLOW = "the data's values overflow the squared-loss normal equations"
+SINGULAR = "the squared-loss normal equations are singular at learner.reg_lambda 1e-20"
+
+# Files whose exact squared-loss solve fails: (write the file, reg_lambda, message).
+SQUARED_SOLVE_FAILURES = {
+    "overflow": (_write_overflowing_csv, 1, OVERFLOW),
+    "dependent-columns": (_write_dependent_columns_csv, 1e-20, SINGULAR),
+}
+
+
 class TestSquaredOverflowIsDataError:
     @staticmethod
-    def _benchmark(tmp_path, algorithm, reg_lambda):
+    def _benchmark(path, algorithm, reg_lambda):
         config = {
-            "dataset": {"source": "file", "path": str(_write_overflowing_csv(tmp_path))},
+            "dataset": {"source": "file", "path": str(path)},
             "learner": {"loss": "squared", "reg_lambda": reg_lambda},
             "algorithms": [algorithm],
             "cv_folds": 2,
             "n_min": 10,
         }
-        cfg_path = tmp_path / "cfg.json"
+        cfg_path = path.parent / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         return main(["benchmark", "--config", str(cfg_path)])
 
     @pytest.mark.parametrize("algorithm", ["base", "radon"])
-    def test_benchmark(self, tmp_path, capsys, algorithm):
-        assert self._benchmark(tmp_path, algorithm, 1) == 3
+    @pytest.mark.parametrize("failure", SQUARED_SOLVE_FAILURES)
+    def test_benchmark(self, tmp_path, capsys, failure, algorithm):
+        write, reg_lambda, message = SQUARED_SOLVE_FAILURES[failure]
+        path = write(tmp_path)
+        assert self._benchmark(path, algorithm, reg_lambda) == 3
         err = capsys.readouterr().err
-        assert "data error: the data's values overflow the squared-loss normal equations" in err
-        assert "Warning" not in err
+        assert f"data error: {message}" in err
+        assert f"(data file {path})" in err
+        assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
     def test_benchmark_without_regulariser(self, tmp_path, capsys, algorithm):
         # reg_lambda 0 solves by lstsq, which runs the same overflow check
-        assert self._benchmark(tmp_path, algorithm, 0) == 3
+        assert self._benchmark(_write_overflowing_csv(tmp_path), algorithm, 0) == 3
         err = capsys.readouterr().err
-        assert "data error: the data's values overflow the squared-loss normal equations" in err
+        assert f"data error: {OVERFLOW}" in err
         assert "Warning" not in err
 
     @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
-    def test_train(self, tmp_path, capsys, algorithm):
-        out = tmp_path / "m.json"
-        args = ["train", "--data", str(_write_overflowing_csv(tmp_path)), "--loss", "squared",
-                "--reg-lambda", "1", "--algorithm", algorithm, "--n-min", "10", "--out", str(out)]
+    @pytest.mark.parametrize("failure", SQUARED_SOLVE_FAILURES)
+    def test_train(self, tmp_path, capsys, failure, algorithm):
+        write, reg_lambda, message = SQUARED_SOLVE_FAILURES[failure]
+        path, out = write(tmp_path), tmp_path / "m.json"
+        args = ["train", "--data", str(path), "--loss", "squared", "--reg-lambda",
+                str(reg_lambda), "--algorithm", algorithm, "--n-min", "10", "--out", str(out)]
         assert main(args) == 3
         err = capsys.readouterr().err
-        assert "data error: the data's values overflow the squared-loss normal equations" in err
+        assert f"data error: {message}" in err
+        assert f"(data file {path})" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reg_lambda", [1e-20, 1e-3])
+    def test_singular_normal_equations_in_the_learner(self, tmp_path, reg_lambda):
+        # at 1e-3, features of scale 1e7 leave the Gram diagonal's bits as they were
+        scale = 1.0 if reg_lambda == 1e-20 else 1e7
+        data = load_dataset(_write_dependent_columns_csv(tmp_path), "csv")
+        data = Dataset(x=data.x * scale, y=data.y, task=data.task)
+        spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda)
+        message = re.escape(f"singular at learner.reg_lambda {reg_lambda!r}; reg_lambda 0 solves")
+        with pytest.raises(DataError, match=message):
+            train(spec, data, 0)
+        with pytest.raises(DataError, match=message):
+            train_on_partitions(spec, data, 36, 0)
+
+    @pytest.mark.parametrize("algorithm", ["base", "radon", "avg"])
+    def test_least_squares_solves_dependent_columns(self, tmp_path, capsys, algorithm):
+        path, out = _write_dependent_columns_csv(tmp_path), tmp_path / "m.json"
+        args = ["train", "--data", str(path), "--loss", "squared", "--reg-lambda", "0",
+                "--algorithm", algorithm, "--n-min", "10", "--out", str(out)]
+        assert main(args) == 0
+        assert np.isfinite(json.loads(out.read_text())["weights"]).all()
+        assert self._benchmark(path, algorithm, 0) == 0
 
 
 def _overflow_benchmark(tmp_path, loss, algorithm):

@@ -1,9 +1,11 @@
 """Benchmark orchestration, Monte-Carlo validation, and bound tables."""
 
+import ast
 import hashlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from radon_machine import (
 from radon_machine import aggregation, experiments, kfold, learners
 from radon_machine.experiments import BENCHMARK_CSV_COLUMNS, resolve_height
 from radon_machine.radon_points import _radon_stack
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "radon_machine"
 
 SMALL_BENCH = dict(
     dataset={"source": "synthetic-classification", "n": 3000, "d": 2, "noise": 0.1},
@@ -818,3 +822,41 @@ class TestConfigSectionKeys:
         message = "unknown config fields: ['learner.epoch', 'learner.x']"
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_dict({"learner": {"loss": "squared", "x": 1, "epoch": 2}})
+
+
+def _owner_sites(node: ast.AST, module: str, site="<module>") -> list:
+    """(module.function, kind) of each ``except`` under ``node`` that catches
+    a ConfigError and raises a ConfigError built from the caught one (kind
+    "prefix"), and of each string literal ``".csv"`` (kind "csv")."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        site = node.name
+    found = []
+    caught = isinstance(node, ast.ExceptHandler) and node.type is not None
+    if caught and "ConfigError" in ast.unparse(node.type):
+        built = [
+            raised.exc for raised in ast.walk(node)
+            if isinstance(raised, ast.Raise) and isinstance(raised.exc, ast.Call)
+            and getattr(raised.exc.func, "id", None) == "ConfigError"
+        ]
+        if node.name in {name.id for call in built for name in ast.walk(call)
+                         if isinstance(name, ast.Name)}:
+            found.append((f"{module}.{site}", "prefix"))
+    if isinstance(node, ast.Constant) and node.value == ".csv":
+        found.append((f"{module}.{site}", "csv"))
+    for child in ast.iter_child_nodes(node):
+        found += _owner_sites(child, module, site)
+    return found
+
+
+class TestOneOwnerPerRule:
+    """_in_section puts a config section's name in front of every error a
+    section's builder raises, and write_report names every report's CSV."""
+
+    def test_one_section_prefixer_and_one_csv_twin(self):
+        sites = [
+            found
+            for path in sorted(SRC.glob("*.py"))
+            for found in _owner_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        ]
+        assert [site for site, kind in sites if kind == "prefix"] == ["experiments._in_section"]
+        assert [site for site, kind in sites if kind == "csv"] == ["experiments.write_report"]
