@@ -892,10 +892,9 @@ class TestSquaredOverflowIsDataError:
         assert f"(data file {path})" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("reg_lambda", [1e-20, 1e-3])
-    def test_singular_normal_equations_in_the_learner(self, tmp_path, reg_lambda):
-        # at 1e-3, features of scale 1e7 leave the Gram diagonal's bits as they were
-        scale = 1.0 if reg_lambda == 1e-20 else 1e7
+    # at 1e-3, features of scale 1e7 leave the Gram diagonal's bits as they were
+    @pytest.mark.parametrize("reg_lambda, scale", [(1e-20, 1.0), (1e-3, 1e7)])
+    def test_singular_normal_equations_in_the_learner(self, tmp_path, reg_lambda, scale):
         data = load_dataset(_write_dependent_columns_csv(tmp_path), "csv")
         data = Dataset(x=data.x * scale, y=data.y, task=data.task)
         spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda)
