@@ -110,6 +110,8 @@ class ExperimentConfig:
         require(self.workers >= 1, "workers", "be >= 1", self.workers)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string or null, got {self.out!r}")
+        if not isinstance(self.learner, LearnerSpec):  # from_dict builds it from a JSON object
+            raise ConfigError(f"learner must be a LearnerSpec, got {type(self.learner).__name__}")
         dataset_source(self.dataset)
         if self.bounds is not None:
             config_section({"bounds": self.bounds}, "bounds", BOUNDS_KEYS)
@@ -238,14 +240,8 @@ def partition_checksum(row_ids: np.ndarray, parts: int, seed: int) -> str:
     """
     row_ids = np.asarray(row_ids, dtype=np.int64)
     blocks = partition_indices(row_ids.size, parts, seed)
-    ordered = row_ids.take(np.concatenate(blocks))  # every block's ids, in order
-    digest = hashlib.sha1()
-    start = 0
-    for block in blocks:
-        digest.update(ordered[start : start + block.size])
-        digest.update(b"|")
-        start += block.size
-    return digest.hexdigest()
+    joined = b"".join(row_ids.take(block).tobytes() + b"|" for block in blocks)
+    return hashlib.sha1(joined).hexdigest()
 
 
 def _evaluate(hyp: Hypothesis, test: Dataset, spec: LearnerSpec | None = None) -> float:
@@ -324,6 +320,9 @@ def run_benchmark(config: ExperimentConfig) -> dict:
                            max_cert_residual=trace.max_cert_residual)
             row["metric"] = _evaluate(hyp, test, spec)
             per_alg[name].append(row)
+        # Free this fold's rows before the next fold gathers its own, so the
+        # run holds one fold's split at a time, not two.
+        del train_idx, train_split, test, fits
 
     algorithms = {}
     for name, rows in per_alg.items():

@@ -34,8 +34,8 @@ differ, which moves no bit: the weights start at +0.0, no update makes
 one -0.0, and adding a zero of either sign leaves any other weight as it is.
 ``_train_block`` trains many partitions in the caller's process and
 returns the same bits as one ``train`` call per partition: SGD runs in
-lock-step, and exact squared-loss solves go as one stacked solve per run of
-equal-size partitions.  Diverged SGD raises ShapeError naming
+lock-step, and exact squared-loss solves go as one stacked solve per chunk
+of a run of equal-size partitions.  Diverged SGD raises ShapeError naming
 ``learning_rate0``; before its first step, an SGD fit of more than
 MAX_SGD_STEPS steps is a ConfigError naming ``learner.epochs``, and rows
 whose squared norm overflows are a DataError, as are scores that overflow
@@ -58,6 +58,9 @@ from .errors import ConfigError, DataError, ShapeError, require, require_number
 EXACT_SOLVE_MAX_DIM = 512
 # Cap on the steps of one SGD fit (epochs x rows trained), checked before the first.
 MAX_SGD_STEPS = 10**10
+# Floats of one gathered chunk of the exact solve's stacked rows, bias column
+# included; a chunk holds at least one partition.
+EXACT_GATHER_FLOATS = 1 << 16
 
 LOSS_NAMES = ("logistic", "hinge", "squared")
 CLASSIFICATION_LOSSES = ("logistic", "hinge")
@@ -148,9 +151,11 @@ def loss_derivatives(loss: str, scores, labels) -> np.ndarray:
 
 
 def _augmented(x: np.ndarray, fit_bias: bool) -> np.ndarray:
+    """``x`` with a column of ones appended along its last axis (rows, or a
+    stack of partitions' rows) when ``fit_bias``; ``x`` itself otherwise."""
     if not fit_bias:
         return x
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
 
 
 def with_bias_column(spec: LearnerSpec, data: Dataset) -> tuple[LearnerSpec, Dataset]:
@@ -256,11 +261,10 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
 
     ``blocks`` must have the shape partition_indices gives them: non-empty,
     and never larger than the block before (the first ``n_rows % parts``
-    hold one row more).  Both branches read their rows by id from one copy
-    of ``data``'s rows, with the bias column appended if the spec asks for
-    it (a CV run hands in rows that already carry it; see
-    with_bias_column): SGD from its step rows, the exact solve from the
-    rows themselves.
+    hold one row more).  Both branches read their rows by id: SGD from one
+    copy of its step rows, the exact solve from ``data``'s rows themselves
+    (a CV run hands in rows that already carry the bias column; see
+    with_bias_column).
 
     The SGD runs of the partitions advance in lock-step: step s of every
     partition still running is one vectorised update, so the Python loop
@@ -274,8 +278,12 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     its step rows by id (and, for squared loss only, their labels), sums
     row * w along each row for the margins, and reads its step sizes off
     the table.  Exact squared loss with reg_lambda > 0 skips SGD: each run
-    of equal-size partitions is gathered with one take and solved as one
-    stack.
+    of equal-size partitions is gathered in chunks of at most
+    EXACT_GATHER_FLOATS floats (at least one partition each), one take of
+    ``data.x`` per chunk with the bias column appended to the chunk alone,
+    and each chunk is solved as one stack.  So no whole-data ``[x, 1]``
+    copy and no whole-run gather is built, and every matrix still takes
+    the BLAS/LAPACK calls of a separate solve.
     """
     _check_labels(spec, data)
     exact = spec.solves_exactly(data.dim)
@@ -284,14 +292,18 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
 
     sizes = np.array([len(block) for block in blocks])
     if exact:
-        xa = _augmented(data.x, spec.fit_bias)
-        w = np.zeros((len(blocks), xa.shape[1]))
+        w = np.zeros((len(blocks), spec.hypothesis_dim(data.dim)))
         edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(blocks)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            idx = np.stack(blocks[lo:hi])
-            w[lo:hi] = _solve_normal_equations(
-                xa.take(idx, axis=0), data.y.take(idx), spec.reg_lambda
-            )
+            per_chunk = max(1, EXACT_GATHER_FLOATS // (sizes[lo] * w.shape[1]))
+            for a in range(lo, hi, per_chunk):
+                b = min(a + per_chunk, hi)
+                idx = np.stack(blocks[a:b])
+                # unnamed, so each chunk is freed before the next is gathered
+                w[a:b] = _solve_normal_equations(
+                    _augmented(data.x.take(idx, axis=0), spec.fit_bias), data.y.take(idx),
+                    spec.reg_lambda,
+                )
         if not np.isfinite(w).all():
             raise ShapeError("weights contain non-finite values")  # as Hypothesis would
         return w

@@ -22,6 +22,7 @@ from radon_machine import (
     aggregation,
     averaging_at_end,
     certify,
+    learners,
     max_height,
     mc_confidence,
     partition_dataset,
@@ -314,8 +315,8 @@ class TestInProcessTraining:
 
     def test_exact_solve_gathers_each_run_once(self):
         # without the bias column the rows are the caller's, and only one
-        # run's gather at a time comes on top; a gather of every partition's
-        # rows before the first run's would hold about 1.35 copies of x
+        # chunk of a run's rows at a time comes on top; a gather of a whole
+        # run holds about one copy of x, of every partition about 1.35
         data, _ = synth_regression(20_000, 8, 0.1, seed=2)
         spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
         blocks = partition_indices(data.n_rows, 121, 3)
@@ -325,7 +326,20 @@ class TestInProcessTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * data.n_rows * data.dim * 8
+        assert peak < 0.8 * data.n_rows * data.dim * 8
+
+    def test_exact_solve_with_bias_holds_no_copy_of_the_rows(self):
+        # the bias column goes on each chunk alone: a whole-data [x, 1] copy
+        # and a run's gather from it would hold about two copies of [x, 1]
+        data, _ = synth_regression(45_000, 8, 0.1, seed=2)
+        blocks = partition_indices(data.n_rows, 121, 3)
+        tracemalloc.start()
+        try:
+            _train_block(RIDGE_BIAS, data, blocks, training_seeds(3, 121))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * data.n_rows * (data.dim + 1) * 8
 
     def test_diverged_sgd_names_learning_rate_and_partition(self):
         wide, _ = synth_regression(200, EXACT_SOLVE_MAX_DIM + 88, 0.1, seed=3)
@@ -359,6 +373,33 @@ class TestStackedSolve:
             train(spec, data.subset(ix), s).weights
             for ix, s in zip(blocks, training_seeds(seed, parts))
         ]
+        assert weights.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    @pytest.mark.parametrize("reg_lambda", [0.5, 1e-3])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_chunked_runs_match_per_partition_train(
+        self, monkeypatch, per_chunk, reg_lambda, fit_bias
+    ):
+        # ragged: a run of 3 partitions of 26 rows, then 37 of 25; a chunk
+        # of per_chunk partitions of 26 rows also holds per_chunk of 25
+        data, _ = synth_regression(1003, 3, 0.3, seed=17)
+        spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda, fit_bias=fit_bias)
+        floats = per_chunk * 26 * spec.hypothesis_dim(data.dim)
+        monkeypatch.setattr(learners, "EXACT_GATHER_FLOATS", floats)
+        original, stacked = learners._solve_normal_equations, []
+
+        def spying(xa, y, reg):
+            stacked.append(xa.shape[0])
+            return original(xa, y, reg)
+
+        monkeypatch.setattr(learners, "_solve_normal_equations", spying)
+        blocks, seeds = partition_indices(1003, 40, 6), training_seeds(6, 40)
+        weights = _train_block(spec, data, blocks, seeds)
+        runs = (3, 37)
+        assert stacked == [min(per_chunk, n - a) for n in runs for a in range(0, n, per_chunk)]
+        monkeypatch.setattr(learners, "_solve_normal_equations", original)
+        expected = [train(spec, data.subset(ix), s).weights for ix, s in zip(blocks, seeds)]
         assert weights.tobytes() == np.stack(expected).tobytes()
 
     def test_stacked_normal_equations_match_one_matrix_at_a_time(self):

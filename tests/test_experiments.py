@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,6 +136,30 @@ class TestRunBenchmark:
             ExperimentConfig.from_dict({"unexpected": 1})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"learner": {"lose": "logistic"}})
+
+    @pytest.mark.parametrize("learner", [{"loss": "squared"}, None, "squared"])
+    def test_learner_must_be_a_spec_when_built(self, learner):
+        with pytest.raises(ConfigError, match="^learner must be a LearnerSpec, got "):
+            ExperimentConfig(**{**SMALL_BENCH, "learner": learner})
+
+    def test_one_fold_and_one_chunk_of_rows_at_a_time(self):
+        # The run holds the rows with the bias column and one fold's split
+        # and test rows.  Gathering the next split while the last is held,
+        # or a whole run of partitions at once, peaks above 3.3 copies of
+        # the [x, 1] rows (about 3.55 with both).
+        np.random.default_rng(0)  # numpy.random loads on first use: before tracing
+        config = ExperimentConfig(
+            **{**SMALL_BENCH, "dataset": {"source": "synthetic-regression", "n": 45_000, "d": 8},
+               "cv_folds": 10}
+        )
+        tracemalloc.start()
+        try:
+            report = run_benchmark(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["heights_per_fold"] == [2] * 10
+        assert peak < 3.1 * 45_000 * 9 * 8
 
     def test_from_dict_round_trip(self):
         config = ExperimentConfig(**SMALL_BENCH)

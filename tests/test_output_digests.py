@@ -22,9 +22,9 @@ def test_prints_one_digest_per_output_and_a_digest_of_them(monkeypatch, capsys):
     # benchmark and train digests; two SGD learners, each at its default
     # reg_lambda and at 0, in the radon_machine ones, each with its root and
     # its trace; two mc_confidence runs, each with its CSV columns and its
-    # trace keys; one bounds table per (k, kappa)
+    # trace keys; one bounds table per (k, kappa); the chunked exact solves
     assert len(digests) == len(lines) == (
-        4 * 2 * 3 * 2 + 2 * 2 * 2 * 2 * 2 + 3 * 4 * 2 + 2 * 2 * 3 + 3 * 3 + 1
+        4 * 2 * 3 * 2 + 2 * 2 * 2 * 2 * 2 + 3 * 4 * 2 + 2 * 2 * 3 + 3 * 3 + 1 + 1
     )
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
     assert digests.pop("all") == hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()

@@ -40,7 +40,12 @@ output, then an ``all`` line digesting the lines above it:
 - ``bounds``: the rows of ``bounds_table`` for each ``k`` and ``kappa`` in
   1-3, over ``r`` from 3 to 12 at ``delta_base`` 1/(2r), heights 0-40,
   ``c_workers`` 1, 4 and 1000, and ``(alpha_eps, beta_eps)`` (0, 1) and
-  (2.5, 0.7), read through ``repr`` so every float's bits count.
+  (2.5, 0.7), read through ``repr`` so every float's bits count;
+- ``fit squared chunked``: one digest of the weights of ``fit`` with
+  ``radon`` and ``avg``, squared loss, bias on and off, on 30,000 synthetic
+  rows.  The inputs above are small enough that the exact solve gathers
+  each run of partitions in one chunk; here it takes several
+  (``learners.EXACT_GATHER_FLOATS``).
 
 It runs in a few seconds on one CPU.
 """
@@ -198,6 +203,20 @@ def bounds_digests(rm, exponents=(1, 2, 3)) -> dict[str, str]:
     return digests
 
 
+def chunked_fit_digests(rm) -> dict[str, str]:
+    """Digest of the root weights of each squared-loss fit whose exact
+    solves span several gathered chunks."""
+    data, _ = rm.synth_regression(30_000, 8, 0.3, seed=6)
+    weights = []
+    for fit_bias in (True, False):
+        spec = rm.LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=fit_bias)
+        r = rm.radon_number(spec.hypothesis_dim(data.dim))
+        cfg = rm.RadonConfig(r=r, h=2, seed=6, n_min=20, workers=1)
+        for algorithm in ("radon", "avg"):
+            weights.append(rm.fit(algorithm, spec, data, cfg)[0].weights.tobytes())
+    return {"fit squared chunked": _sha256(b"".join(weights))}
+
+
 def _import_tree(root: Path):
     """radon_machine, its cli and perfbench's workloads from the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -220,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         **train_digests(cli),
         **mc_digests(rm),
         **bounds_digests(rm),
+        **chunked_fit_digests(rm),
     }
     lines = [f"{name} {digest}" for name, digest in digests.items()]
     lines.append(f"all {_sha256(chr(10).join(lines).encode())}")
