@@ -30,6 +30,14 @@ from .errors import ConfigError, _as_float, require
 _FLOAT_LOG2_BOUND = 1025
 
 
+def _require_radon_number(r: int) -> None:
+    """A ConfigError naming ``r`` unless it is a Radon number (a dimension
+    + 2, so >= 3) below 2**64, which keeps the floats of r, r * delta_base
+    and r^3 finite."""
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(r < 2**64, "r", "be >= 3 and below 2**64 (a Radon number)", r)
+
+
 def _exact_pow(base: int, exponent: int):
     """base ** exponent (base >= 2, exponent >= 0) as an exact integer while
     it is at most about 2^1025, else +inf, which is what _as_float makes of
@@ -118,7 +126,7 @@ def boosted_confidence(r: int, delta_base: float, h: int) -> BoostedConfidence:
     The ``vacuous`` flag is set when r * delta_base >= 1, in which case the
     bound is still computed but guarantees nothing.
     """
-    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    _require_radon_number(r)
     require(0.0 < delta_base < 1.0, "delta_base", "lie in (0, 1)", delta_base)
     require(h >= 0, "h", "be >= 0 (a tree height)", h)
     vacuous = r * delta_base >= 1.0
@@ -170,16 +178,17 @@ def _scaled_pow(r: int, h: int, n: float) -> float:
 
 def radon_sample_size(r: int, h: int, n_base: float) -> float:
     """Total sample size r^h * n_base of the aggregation scheme."""
-    if r < 3 or h < 0 or not n_base > 0:
-        raise ConfigError("need r >= 3, h >= 0, n_base > 0")
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(h >= 0, "h", "be >= 0 (a tree height)", h)
+    require(n_base > 0, "n_base", "be > 0", n_base)
     return _scaled_pow(r, h, n_base)
 
 
 def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, h: int) -> float:
     """Sample size the base learner alone needs for the boosted guarantee:
     (alpha + 2^h * beta * log2(1 / (r * delta_base))) ** k."""
-    if r < 3 or h < 0:
-        raise ConfigError("need r >= 3 and h >= 0")
+    _require_radon_number(r)
+    require(h >= 0, "h", "be >= 0 (a tree height)", h)
     rule = f"lie in (0, 1/r) = (0, {1.0 / r})"
     require(0.0 < delta_base < 1.0 / r, "delta_base", rule, delta_base)
     log_term = math.log2(1.0 / (r * delta_base))
@@ -190,8 +199,7 @@ def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, 
 def choose_height(m_samples: float, k: int) -> int:
     """Tree height ceil((log2 M - log2 log2 M) / k) that makes the
     aggregation runtime polylogarithmic in M."""
-    if not m_samples > 2.0:
-        raise ConfigError(f"need M > 2, got {m_samples}")
+    require(m_samples > 2.0, "m_samples", "be > 2", m_samples)
     require(k >= 1, "k", "be >= 1", k)
     ld_m = math.log2(m_samples)
     value = (ld_m - math.log2(ld_m)) / k
@@ -210,8 +218,11 @@ def runtime_model(n: float, r: int, h: int, kappa: int, c_workers: int) -> float
     With c >= r^h this reduces to n^kappa + h * r^3.  It is +inf once
     r^(h+3) / c, a lower bound on the second term, is past float range.
     """
-    if not n > 0 or r < 3 or h < 0 or kappa < 1 or c_workers < 1:
-        raise ConfigError("need n > 0, r >= 3, h >= 0, kappa >= 1, c_workers >= 1")
+    require(n > 0, "n", "be > 0", n)
+    require(r >= 3, "r", "be >= 3 (a Radon number)", r)
+    require(h >= 0, "h", "be >= 0 (a tree height)", h)
+    require(kappa >= 1, "kappa", "be >= 1", kappa)
+    require(c_workers >= 1, "c_workers", "be >= 1", c_workers)
     if h + 3 > (_FLOAT_LOG2_BOUND + math.log2(c_workers)) / math.log2(r):
         return math.inf
     try:

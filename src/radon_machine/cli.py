@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import RadonConfig
-from .bounds import ComplexityParams
+from .bounds import ComplexityParams, _require_radon_number
 from .datasets import FORMATS, TASKS
 from .errors import ConfigError, DataError, require, require_number
 from .experiments import (
@@ -257,8 +257,7 @@ def _cmd_bounds(args) -> int:
         pick(args.k, "k", 1, int), pick(args.kappa, "kappa", 1, int),
     )
     r = pick(args.r, "r", 4, int)
-    # A dimension + 2; the cap keeps the floats of r and r^3 finite.
-    require(3 <= r < 2**64, "r", "be >= 3 and below 2**64 (a Radon number)", r)
+    _require_radon_number(r)
     delta_base = pick(args.delta_base, "delta_base", 1.0 / (2 * r), float)
     h_min = pick(args.h_min, "h_min", 0, int)
     h_max = pick(args.h_max, "h_max", 4, int)

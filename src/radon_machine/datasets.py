@@ -287,8 +287,7 @@ def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> tuple[Datase
 
 def kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle followed by round-robin fold assignment."""
-    if k < 2:
-        raise ConfigError(f"need at least 2 folds, got {k}")
+    require(k >= 2, "k", "be >= 2", k)
     if k > dataset.n_rows:
         raise DataError(f"cannot split {dataset.n_rows} rows into cv_folds={k} folds")
     perm = np.random.default_rng(seed).permutation(dataset.n_rows)

@@ -331,7 +331,7 @@ def run_benchmark(config: ExperimentConfig) -> dict:
         algorithms[name] = {
             "per_fold": rows,
             "metric_mean": float(metrics.mean()),
-            "metric_std": float(metrics.std(ddof=1)) if len(rows) > 1 else 0.0,
+            "metric_std": float(metrics.std(ddof=1)),  # cv_folds >= 2
             "total_s_mean": float(totals.mean()),
         }
 
@@ -423,8 +423,7 @@ def mc_confidence(
     require(r >= 3, "r", "be >= 3 (a Radon number)", r)
     require(h >= 0, "h", "be >= 0 (a tree height)", h)
     require(0.0 <= delta_base < 1.0, "delta_base", "lie in [0, 1)", delta_base)
-    if trials < 1000:
-        raise ConfigError(f"need at least 1000 trials, got {trials}")
+    require(trials >= 1000, "trials", "be >= 1000", trials)
     require(workers >= 1, "workers", "be >= 1", workers)
     require_seed(seed)
     if trials > MC_MAX_LEAF_DRAWS or h > max_height(MC_MAX_LEAF_DRAWS, r, trials):

@@ -33,9 +33,10 @@ reads; a hinge step outside the margin adds a zero gradient whose sign may
 differ, which moves no bit: the weights start at +0.0, no update makes
 one -0.0, and adding a zero of either sign leaves any other weight as it is.
 ``_train_block`` trains many partitions in the caller's process and
-returns the same bits as one ``train`` call per partition: SGD runs in
-lock-step, and exact squared-loss solves go as one stacked solve per chunk
-of a run of equal-size partitions.  Diverged SGD raises ShapeError naming
+returns the bits of one ``train`` call per partition without calling
+``train``: SGD runs in lock-step, and exact squared-loss solves, at every
+reg_lambda, go as one stacked solve per chunk of a run of equal-size
+partitions.  Diverged SGD raises ShapeError naming
 ``learning_rate0``; before its first step, an SGD fit of more than
 MAX_SGD_STEPS steps is a ConfigError naming ``learner.epochs``, and rows
 whose squared norm overflows are a DataError, as are scores that overflow
@@ -277,21 +278,17 @@ def _train_block(spec: LearnerSpec, data: Dataset, blocks: list, seeds: list) ->
     partition's permutation visits, and their step sizes.  A pass gathers
     its step rows by id (and, for squared loss only, their labels), sums
     row * w along each row for the margins, and reads its step sizes off
-    the table.  Exact squared loss with reg_lambda > 0 skips SGD: each run
-    of equal-size partitions is gathered in chunks of at most
+    the table.  Exact squared loss, at every reg_lambda, skips SGD: each
+    run of equal-size partitions is gathered in chunks of at most
     EXACT_GATHER_FLOATS floats (at least one partition each), one take of
     ``data.x`` per chunk with the bias column appended to the chunk alone,
-    and each chunk is solved as one stack.  So no whole-data ``[x, 1]``
-    copy and no whole-run gather is built, and every matrix still takes
-    the BLAS/LAPACK calls of a separate solve.
+    and one _solve_normal_equations call per chunk.  So no whole-data
+    ``[x, 1]`` copy and no whole-run gather is built, and every matrix
+    still takes the BLAS/LAPACK calls of a separate solve.
     """
     _check_labels(spec, data)
-    exact = spec.solves_exactly(data.dim)
-    if exact and spec.reg_lambda == 0.0:  # lstsq does not stack
-        return np.stack([train(spec, data.subset(b), s).weights for b, s in zip(blocks, seeds)])
-
     sizes = np.array([len(block) for block in blocks])
-    if exact:
+    if spec.solves_exactly(data.dim):
         w = np.zeros((len(blocks), spec.hypothesis_dim(data.dim)))
         edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(blocks)]
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -383,9 +380,10 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
     partitions with ``y`` of shape (n,) or (k, n).  A stack takes the same
     BLAS syrk/gemv and LAPACK gesv calls per matrix as a single matrix, so
     each of its rows has the bits of a separate call.  ``reg_lambda == 0``
-    takes lstsq and a single matrix only.  Data whose Gram matrix or X^T y
-    overflows to a non-finite value is a DataError for either solver, as is a
-    singular regularised Gram matrix (dependent columns, reg_lambda too small).
+    takes lstsq, one call per matrix of a stack.  Data whose Gram matrix or
+    X^T y overflows to a non-finite value is a DataError for either solver,
+    as is a singular regularised Gram matrix (dependent columns, reg_lambda
+    too small).
     """
     xt = np.swapaxes(xa, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,7 +401,9 @@ def _solve_normal_equations(xa: np.ndarray, y: np.ndarray, reg_lambda: float) ->
             raise DataError(f"the squared-loss normal equations are singular at learner.reg_lambda "
                             f"{reg_lambda!r}; reg_lambda 0 solves dependent columns by least "
                             "squares") from None
-    return np.linalg.lstsq(xa, y, rcond=None)[0]
+    if xa.ndim == 2:  # lstsq takes one matrix at a time
+        return np.linalg.lstsq(xa, y, rcond=None)[0]
+    return np.stack([np.linalg.lstsq(xk, yk, rcond=None)[0] for xk, yk in zip(xa, y)])
 
 
 def predict_score(h: Hypothesis, x) -> float | np.ndarray:

@@ -313,12 +313,13 @@ class TestInProcessTraining:
             tracemalloc.stop()
         assert peak < 1.5 * data.n_rows * (data.dim + 1) * 8
 
-    def test_exact_solve_gathers_each_run_once(self):
+    @pytest.mark.parametrize("reg_lambda", [0.1, 0.0])
+    def test_exact_solve_gathers_each_run_once(self, reg_lambda):
         # without the bias column the rows are the caller's, and only one
         # chunk of a run's rows at a time comes on top; a gather of a whole
         # run holds about one copy of x, of every partition about 1.35
         data, _ = synth_regression(20_000, 8, 0.1, seed=2)
-        spec = LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=False)
+        spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda, fit_bias=False)
         blocks = partition_indices(data.n_rows, 121, 3)
         tracemalloc.start()
         try:
@@ -328,14 +329,16 @@ class TestInProcessTraining:
             tracemalloc.stop()
         assert peak < 0.8 * data.n_rows * data.dim * 8
 
-    def test_exact_solve_with_bias_holds_no_copy_of_the_rows(self):
+    @pytest.mark.parametrize("reg_lambda", [0.01, 0.0])
+    def test_exact_solve_with_bias_holds_no_copy_of_the_rows(self, reg_lambda):
         # the bias column goes on each chunk alone: a whole-data [x, 1] copy
         # and a run's gather from it would hold about two copies of [x, 1]
         data, _ = synth_regression(45_000, 8, 0.1, seed=2)
+        spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda, fit_bias=True)
         blocks = partition_indices(data.n_rows, 121, 3)
         tracemalloc.start()
         try:
-            _train_block(RIDGE_BIAS, data, blocks, training_seeds(3, 121))
+            _train_block(spec, data, blocks, training_seeds(3, 121))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +362,7 @@ class TestStackedSolve:
             (1003, 40, True, 0.5),  # ragged: 3 partitions of 26 rows, then 37 of 25
             (1000, 40, True, 0.5),  # equal parts: one run
             (1003, 40, False, 0.5),
-            (1003, 40, True, 0.0),  # lstsq, one partition at a time
+            (1003, 40, True, 0.0),  # lstsq, one call per partition of a chunk
         ],
     )
     @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -376,7 +379,7 @@ class TestStackedSolve:
         assert weights.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("fit_bias", [True, False])
-    @pytest.mark.parametrize("reg_lambda", [0.5, 1e-3])
+    @pytest.mark.parametrize("reg_lambda", [0.5, 1e-3, 0.0])
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_chunked_runs_match_per_partition_train(
         self, monkeypatch, per_chunk, reg_lambda, fit_bias
@@ -402,12 +405,27 @@ class TestStackedSolve:
         expected = [train(spec, data.subset(ix), s).weights for ix, s in zip(blocks, seeds)]
         assert weights.tobytes() == np.stack(expected).tobytes()
 
-    def test_stacked_normal_equations_match_one_matrix_at_a_time(self):
+    @pytest.mark.parametrize("reg_lambda", [0.25, 0.0])
+    def test_stacked_normal_equations_match_one_matrix_at_a_time(self, reg_lambda):
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((5, 30, 4)), rng.standard_normal((5, 30))
-        stacked = _solve_normal_equations(x, y, 0.25)
-        single = [_solve_normal_equations(xk, yk, 0.25) for xk, yk in zip(x, y)]
+        stacked = _solve_normal_equations(x, y, reg_lambda)
+        single = [_solve_normal_equations(xk, yk, reg_lambda) for xk, yk in zip(x, y)]
         assert stacked.tobytes() == np.stack(single).tobytes()
+
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1e-3, 0.5])
+    def test_exact_kernel_calls_no_train(self, monkeypatch, reg_lambda, fit_bias):
+        # the block kernel solves every partition itself; train() is the
+        # whole-data fit and the reference above, not a branch of the kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("_train_block called train()")
+
+        monkeypatch.setattr(learners, "train", refuse)
+        data, _ = synth_regression(1003, 3, 0.3, seed=17)
+        spec = LearnerSpec(loss="squared", reg_lambda=reg_lambda, fit_bias=fit_bias)
+        weights = _train_block(spec, data, partition_indices(1003, 40, 6), training_seeds(6, 40))
+        assert weights.shape == (40, spec.hypothesis_dim(data.dim))
 
     @pytest.mark.parametrize("loss, calls", [("squared", 0), ("logistic", 25)])
     def test_single_worker_calls_train_for_sgd_only(self, monkeypatch, loss, calls):

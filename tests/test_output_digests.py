@@ -23,8 +23,9 @@ def test_prints_one_digest_per_output_and_a_digest_of_them(monkeypatch, capsys):
     # reg_lambda and at 0, in the radon_machine ones, each with its root and
     # its trace; two mc_confidence runs, each with its CSV columns and its
     # trace keys; one bounds table per (k, kappa); the chunked exact solves
+    # at the default reg_lambda and at 0
     assert len(digests) == len(lines) == (
-        4 * 2 * 3 * 2 + 2 * 2 * 2 * 2 * 2 + 3 * 4 * 2 + 2 * 2 * 3 + 3 * 3 + 1 + 1
+        4 * 2 * 3 * 2 + 2 * 2 * 2 * 2 * 2 + 3 * 4 * 2 + 2 * 2 * 3 + 3 * 3 + 2 + 1
     )
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
     assert digests.pop("all") == hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()

@@ -41,10 +41,11 @@ output, then an ``all`` line digesting the lines above it:
   1-3, over ``r`` from 3 to 12 at ``delta_base`` 1/(2r), heights 0-40,
   ``c_workers`` 1, 4 and 1000, and ``(alpha_eps, beta_eps)`` (0, 1) and
   (2.5, 0.7), read through ``repr`` so every float's bits count;
-- ``fit squared chunked``: one digest of the weights of ``fit`` with
-  ``radon`` and ``avg``, squared loss, bias on and off, on 30,000 synthetic
-  rows.  The inputs above are small enough that the exact solve gathers
-  each run of partitions in one chunk; here it takes several
+- ``fit squared chunked`` and ``fit squared reg_lambda=0 chunked``: one
+  digest each of the weights of ``fit`` with ``radon`` and ``avg``, squared
+  loss at ``reg_lambda`` 0.1 and at 0 (lstsq), bias on and off, on 30,000
+  synthetic rows.  The inputs above are small enough that the exact solve
+  gathers each run of partitions in one chunk; here it takes several
   (``learners.EXACT_GATHER_FLOATS``).
 
 It runs in a few seconds on one CPU.
@@ -204,17 +205,20 @@ def bounds_digests(rm, exponents=(1, 2, 3)) -> dict[str, str]:
 
 
 def chunked_fit_digests(rm) -> dict[str, str]:
-    """Digest of the root weights of each squared-loss fit whose exact
-    solves span several gathered chunks."""
+    """Digest of the root weights of the squared-loss fits whose exact
+    solves span several gathered chunks, one line per reg_lambda."""
     data, _ = rm.synth_regression(30_000, 8, 0.3, seed=6)
-    weights = []
-    for fit_bias in (True, False):
-        spec = rm.LearnerSpec(loss="squared", reg_lambda=0.1, fit_bias=fit_bias)
-        r = rm.radon_number(spec.hypothesis_dim(data.dim))
-        cfg = rm.RadonConfig(r=r, h=2, seed=6, n_min=20, workers=1)
-        for algorithm in ("radon", "avg"):
-            weights.append(rm.fit(algorithm, spec, data, cfg)[0].weights.tobytes())
-    return {"fit squared chunked": _sha256(b"".join(weights))}
+    digests = {}
+    for variant, reg_lambda in (("squared", 0.1), ("squared reg_lambda=0", 0.0)):
+        weights = []
+        for fit_bias in (True, False):
+            spec = rm.LearnerSpec(loss="squared", reg_lambda=reg_lambda, fit_bias=fit_bias)
+            r = rm.radon_number(spec.hypothesis_dim(data.dim))
+            cfg = rm.RadonConfig(r=r, h=2, seed=6, n_min=20, workers=1)
+            for algorithm in ("radon", "avg"):
+                weights.append(rm.fit(algorithm, spec, data, cfg)[0].weights.tobytes())
+        digests[f"fit {variant} chunked"] = _sha256(b"".join(weights))
+    return digests
 
 
 def _import_tree(root: Path):
