@@ -159,7 +159,7 @@ def sample_complexity_rademacher(eps: float, delta: float, rho: float) -> float:
     log2(1/delta) / (2 (eps - 2 rho)^2); requires eps > 2 rho."""
     require(0.0 < delta <= 1.0, "delta", "lie in (0, 1]", delta)
     require(rho >= 0.0, "rho", "be >= 0", rho)
-    if eps <= 2.0 * rho:
+    if not eps > 2.0 * rho:  # NaN included
         raise ConfigError(f"infeasible eps: need eps > 2 * rho = {2.0 * rho}, got {eps}")
     return math.log2(1.0 / delta) / (2.0 * (eps - 2.0 * rho) ** 2)
 
@@ -199,7 +199,7 @@ def sequential_sample_size(params: ComplexityParams, r: int, delta_base: float, 
 def choose_height(m_samples: float, k: int) -> int:
     """Tree height ceil((log2 M - log2 log2 M) / k) that makes the
     aggregation runtime polylogarithmic in M."""
-    require(m_samples > 2.0, "m_samples", "be > 2", m_samples)
+    require(2.0 < m_samples < math.inf, "m_samples", "be finite and > 2", m_samples)
     require(k >= 1, "k", "be >= 1", k)
     ld_m = math.log2(m_samples)
     value = (ld_m - math.log2(ld_m)) / k
@@ -215,15 +215,16 @@ def runtime_model(n: float, r: int, h: int, kappa: int, c_workers: int) -> float
 
     max(1, r^h / c) * n^kappa + r^3 * sum_{i=1..h} ceil(r^i / c).
 
-    With c >= r^h this reduces to n^kappa + h * r^3.  It is +inf once
-    r^(h+3) / c, a lower bound on the second term, is past float range.
+    With c >= r^h this reduces to n^kappa + h * r^3.  For h >= 1 it is +inf
+    once r^(h+3) / c, a lower bound on the second term, is past float
+    range; at h = 0 the second term is 0 for any r.
     """
     require(n > 0, "n", "be > 0", n)
     require(r >= 3, "r", "be >= 3 (a Radon number)", r)
     require(h >= 0, "h", "be >= 0 (a tree height)", h)
     require(kappa >= 1, "kappa", "be >= 1", kappa)
     require(c_workers >= 1, "c_workers", "be >= 1", c_workers)
-    if h + 3 > (_FLOAT_LOG2_BOUND + math.log2(c_workers)) / math.log2(r):
+    if h and h + 3 > (_FLOAT_LOG2_BOUND + math.log2(c_workers)) / math.log2(r):
         return math.inf
     try:
         queue_factor = max(1.0, float(r**h) / c_workers)

@@ -93,6 +93,9 @@ class TestSampleComplexities:
     def test_rademacher_infeasible_eps(self):
         with pytest.raises(ConfigError):
             sample_complexity_rademacher(0.3, 0.5, 0.2)
+        with pytest.raises(ConfigError) as caught:
+            sample_complexity_rademacher(math.nan, 0.5, 0.0)
+        assert str(caught.value) == "infeasible eps: need eps > 2 * rho = 0.0, got nan"
 
 
 class TestSampleSizes:
@@ -241,6 +244,11 @@ class TestPastFloatRange:
     def test_tall_tree_runtime_is_inf(self):
         assert runtime_model(10, 4, 600, 1, 1) == math.inf
         assert runtime_model(10, 3, 10**400, 1, 1) == math.inf
+
+    def test_no_level_costs_no_aggregation_at_any_r(self):
+        # r^3 is past float range, but at h = 0 it multiplies an empty sum
+        assert runtime_model(10.0, 2**400, 0, 1, 1) == 10.0
+        assert runtime_model(10.0, 2**400, 1, 1, 1) == math.inf
 
     def test_huge_worker_count_leaves_the_queue_factor_at_one(self):
         # c >= r^h: every partition runs at once and every level takes one round

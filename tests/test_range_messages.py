@@ -118,7 +118,10 @@ RANGE_ERRORS = [
      lambda: sequential_sample_size(ComplexityParams(0, 1, 1, 1), HUGE_R, 1e-300, 1),
      HUGE_R_ERROR),
     ("choose_height.k", lambda: choose_height(100.0, 0), "k must be >= 1, got 0"),
-    ("choose_height.m_samples", lambda: choose_height(2.0, 1), "m_samples must be > 2, got 2.0"),
+    ("choose_height.m_samples", lambda: choose_height(2.0, 1),
+     "m_samples must be finite and > 2, got 2.0"),
+    ("choose_height.m_samples_inf", lambda: choose_height(math.inf, 1),
+     "m_samples must be finite and > 2, got inf"),
     ("kfold.k", lambda: kfold(synth_classification(10, 2, 0.1, 0)[0], 1, 0),
      "k must be >= 2, got 1"),
     ("synth_classification.n", lambda: synth_classification(0, 2, 0.1, 0),
